@@ -14,11 +14,10 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/mem"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -37,129 +36,68 @@ func SizePublishAllocs(ops int) (float64, error) {
 	if ops <= 0 {
 		return 0, fmt.Errorf("figures: SizePublishAllocs needs ops > 0")
 	}
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var serverIDs []hw.NodeID
-	for j := 0; j < 3; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return 0, err
-		}
+	r := rig.New(nil)
+	if err := r.AddServers(3, 0); err != nil {
+		return 0, err
 	}
-	client := cl.AddNode("client")
+	client := r.HW.AddNode("client")
 
-	var failure error
-	var allocs float64
-	env.Spawn("probe", func(p *sim.Proc) {
-		cmx := mx.Attach(client)
-		sessions := make([]*rfsrv.Session, len(serverIDs))
-		for i, id := range serverIDs {
-			fc, err := rfsrv.NewMXClient(cmx, uint8(10+i), true, client.Kernel, id, 1)
-			if err != nil {
-				failure = err
-				return
-			}
-			if sessions[i], err = rfsrv.NewSession(p, fc, 8); err != nil {
-				failure = err
-				return
-			}
-		}
-		cluster, err := rfsrv.NewCluster(p, sessions, mem.PageSize)
+	return measureAllocs(r, ops, func(p *sim.Proc) (func(i int) error, error) {
+		cluster, err := r.View(p, mx.Attach(client), rig.Opts{Window: 8, Stripe: mem.PageSize})
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		if err := cluster.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		attr, err := cluster.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "probe"})
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		va, err := client.Kernel.Mmap(mem.PageSize, "probe-buf")
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		vec := core.Of(core.KernelSeg(client.Kernel, va, mem.PageSize))
-		op := func(i int) error {
+		return func(i int) error {
 			_, err := cluster.Write(p, attr.Attr.Ino, int64(i)*mem.PageSize, vec)
 			return err
-		}
-		n := 0
-		for i := 0; i < rpaWarmup; i++ {
-			if failure = op(n); failure != nil {
-				return
-			}
-			n++
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < ops; i++ {
-			if failure = op(n); failure != nil {
-				return
-			}
-			n++
-		}
-		runtime.ReadMemStats(&after)
-		allocs = float64(after.Mallocs-before.Mallocs) / float64(ops)
+		}, nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
-	}
-	return allocs, nil
 }
 
 // RequestPathAllocs measures the steady-state host allocations per
 // synchronous 64 KB operation (alternating write and read) through one
 // Session to one MX server, measured over ops operations with
 // runtime.MemStats — the whole request path: encode, slot staging,
-// transfer, server dispatch/worker, decode. The simulation is
-// single-threaded on the host, so the mallocs delta is exact.
+// transfer, server dispatch/worker, decode.
 func RequestPathAllocs(ops int) (float64, error) {
 	if ops <= 0 {
 		return 0, fmt.Errorf("figures: RequestPathAllocs needs ops > 0")
 	}
-	env := sim.NewEngine()
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	server := cl.AddNode("server")
-	fs := memfs.New("backing", server, 0)
-	if _, err := rfsrv.NewServer(server, fs).ServeMX(mx.Attach(server), 1, 4); err != nil {
+	r := rig.New(nil)
+	if err := r.AddServers(1, 0); err != nil {
 		return 0, err
 	}
-	client := cl.AddNode("client")
+	client := r.HW.AddNode("client")
 
-	var failure error
-	var allocs float64
-	env.Spawn("probe", func(p *sim.Proc) {
-		fc, err := rfsrv.NewMXClient(mx.Attach(client), 10, true, client.Kernel, server.ID, 1)
+	return measureAllocs(r, ops, func(p *sim.Proc) (func(i int) error, error) {
+		sessions, err := r.Sessions(p, mx.Attach(client), rig.Opts{Window: 8})
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
-		sess, err := rfsrv.NewSession(p, fc, 8)
-		if err != nil {
-			failure = err
-			return
-		}
+		sess := sessions[0]
 		attr, err := sess.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "probe"})
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		const chunk = 64 * 1024
 		va, err := client.Kernel.Mmap(chunk, "probe-buf")
 		if err != nil {
-			failure = err
-			return
+			return nil, err
 		}
 		vec := core.Of(core.KernelSeg(client.Kernel, va, chunk))
-		op := func(i int) error {
+		return func(i int) error {
 			off := int64(i%8) * chunk
 			if i%2 == 0 {
 				_, err := sess.Write(p, attr.Attr.Ino, off, vec)
@@ -167,25 +105,40 @@ func RequestPathAllocs(ops int) (float64, error) {
 			}
 			_, err := sess.Read(p, attr.Attr.Ino, off, vec)
 			return err
+		}, nil
+	})
+}
+
+// measureAllocs runs setup in a proc on r, then the operation it
+// returns rpaWarmup times (operations are numbered consecutively), then
+// ops more times, and returns the host mallocs per measured operation.
+// The simulation is single-threaded on the host, so the delta is
+// exact.
+func measureAllocs(r *rig.Rig, ops int, setup func(p *sim.Proc) (func(i int) error, error)) (float64, error) {
+	var allocs float64
+	r.Go("probe", func(p *sim.Proc) error {
+		op, err := setup(p)
+		if err != nil {
+			return err
 		}
 		for i := 0; i < rpaWarmup; i++ {
-			if failure = op(i); failure != nil {
-				return
+			if err := op(i); err != nil {
+				return err
 			}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < ops; i++ {
-			if failure = op(i); failure != nil {
-				return
+		for i := rpaWarmup; i < rpaWarmup+ops; i++ {
+			if err := op(i); err != nil {
+				return err
 			}
 		}
 		runtime.ReadMemStats(&after)
 		allocs = float64(after.Mallocs-before.Mallocs) / float64(ops)
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
+	if err := r.Run(0, 1); err != nil {
+		return 0, err
 	}
 	return allocs, nil
 }

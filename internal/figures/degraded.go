@@ -30,12 +30,9 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/hw"
-	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -119,149 +116,53 @@ func (r *dgResult) mbpsTotal() float64 {
 	return mbps(b, r.finished-r.started)
 }
 
-// dgSeed lays the replicated striped layout down server-side: the
-// shared seeding helper at this suite's file size and R.
-func dgSeed(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients int) ([]kernel.InodeID, error) {
-	return msSeedStriped(p, serverFS, servers, clients, dgFilePerCli, dgReplicas)
-}
-
-// dgCluster wires one client node to every server: the shared cluster
-// builder at this suite's window and R, with the reply deadline armed
-// (timeout 0 leaves deadlines off — the calibration baseline).
-func dgCluster(p *sim.Proc, node *hw.Node, servers []hw.NodeID, timeout sim.Time) (*rfsrv.Cluster, error) {
-	return msClusterRep(p, node, servers, dgWindow, dgReplicas, timeout)
-}
-
-// dgClient runs one client's pipelined striped reads (the multiserver
-// orfs-direct workload) and returns its completion samples and its
-// cluster (for the failover counters).
-func dgClient(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeID, timeout sim.Time) ([]dgSample, sim.Time, *rfsrv.Cluster, error) {
-	var maxLat sim.Time
-	cluster, err := dgCluster(p, node, servers, timeout)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	window := cluster.Window()
-	bufs := make([]core.Vector, window)
-	for i := range bufs {
-		va, err := node.Kernel.Mmap(msStripe, "dg-buf")
-		if err != nil {
-			return nil, 0, cluster, err
-		}
-		bufs[i] = vecKernel(node.Kernel, va, msStripe)
-	}
-	var q []rfsrv.PendingOp
-	var samples []dgSample
-	retire := func(pd rfsrv.PendingOp) error {
-		resp, err := pd.Wait(p)
-		if err != nil {
-			return err
-		}
-		if lat := p.Now() - pd.Issued(); lat > maxLat {
-			maxLat = lat
-		}
-		samples = append(samples, dgSample{at: p.Now(), bytes: int(resp.N)})
-		return nil
-	}
-	reads := dgFilePerCli / msStripe
-	for issued := 0; issued < reads; issued++ {
-		off := int64(issued) * msStripe
-		for len(q) > 0 && (len(q) == window || !cluster.CanStart(ino, off, msStripe)) {
-			pd := q[0]
-			q = q[1:]
-			if err := retire(pd); err != nil {
-				return nil, 0, cluster, err
-			}
-		}
-		pd, err := cluster.StartRead(p, ino, off, bufs[issued%window])
-		if err != nil {
-			return nil, 0, cluster, err
-		}
-		q = append(q, pd)
-	}
-	for _, pd := range q {
-		if err := retire(pd); err != nil {
-			return nil, 0, cluster, err
-		}
-	}
-	return samples, maxLat, cluster, nil
-}
-
 // dgRun executes the degraded workload on a fresh simulated cluster of
-// the given width. killAt > 0 schedules server 0's NIC to die at that
-// absolute virtual time; 0 runs fault-free (the baseline, whose
-// makespan and worst latency calibrate the kill time and the reply
-// deadline). timeout arms per-request deadlines; 0 leaves them off.
+// the given width: every client streams the multiserver orfs-direct
+// workload through its own replicated view. killAt > 0 schedules server
+// 0's NIC to die at that absolute virtual time; 0 runs fault-free (the
+// baseline, whose makespan and worst latency calibrate the kill time
+// and the reply deadline). timeout arms per-request deadlines; 0 leaves
+// them off.
 func (c Config) dgRun(servers int, killAt, timeout sim.Time) (*dgResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-	)
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		serverFS = append(serverFS, fs)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
+	r := rig.New(c.Trace)
+	if err := r.AddServers(servers, 0); err != nil {
+		return nil, err
 	}
 	if killAt > 0 {
-		serverNodes[0].NIC.KillAfter(killAt)
+		r.Nodes[0].NIC.KillAfter(killAt)
 	}
 	res := &dgResult{}
 	clusters := make([]*rfsrv.Cluster, msClients)
-	var failure error
-	done := 0
-	env.Spawn("seed", func(p *sim.Proc) {
-		inos, err := dgSeed(p, serverFS, serverNodes, msClients)
+	r.Go("seed", func(p *sim.Proc) error {
+		inos, err := r.Seed(p, servers, msClients, dgFilePerCli, dgReplicas)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
 		res.started = p.Now()
 		for i := 0; i < msClients; i++ {
 			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				samples, maxLat, cluster, err := dgClient(p, node, serverIDs, inos[i], timeout)
-				clusters[i] = cluster
+			node := r.HW.AddNode(fmt.Sprintf("client%d", i))
+			r.Go(fmt.Sprintf("cl%d", i), func(p *sim.Proc) error {
+				cluster, err := r.View(p, mx.Attach(node), rig.Opts{Window: dgWindow, Replicas: dgReplicas, Timeout: timeout})
 				if err != nil {
-					if failure == nil {
-						failure = err
-					}
-					return
+					return err
 				}
-				if maxLat > res.maxLat {
-					res.maxLat = maxLat
-				}
-				res.samples = append(res.samples, samples...)
-				if p.Now() > res.finished {
-					res.finished = p.Now()
-				}
-				done++
+				clusters[i] = cluster
+				return rig.StreamReads(p, node, cluster, inos[i], dgFilePerCli, func(pd rfsrv.PendingOp, resp *rfsrv.Resp) {
+					res.maxLat = max(res.maxLat, p.Now()-pd.Issued())
+					res.samples = append(res.samples, dgSample{at: p.Now(), bytes: int(resp.N)})
+				})
 			})
 		}
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return nil, failure
+	if err := r.Run(0, msClients+1); err != nil {
+		return nil, fmt.Errorf("figures: degraded s=%d: %w", servers, err)
 	}
-	if done != msClients {
-		return nil, fmt.Errorf("figures: %d/%d degraded clients finished (s=%d)", done, msClients, servers)
-	}
+	res.finished = r.Finished
 	for _, cluster := range clusters {
-		if cluster != nil {
-			res.failovers += cluster.Failovers.N
-			res.excluded += cluster.Excluded.N
-		}
+		res.failovers += cluster.Failovers.N
+		res.excluded += cluster.Excluded.N
 	}
 	return res, nil
 }

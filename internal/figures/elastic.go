@@ -28,12 +28,10 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -109,52 +107,17 @@ func (r *elResult) window(from, to sim.Time) float64 {
 }
 
 // elClient streams synchronous stripe reads (with periodic stripe
-// overwrites) against its own file until the controller flags done,
-// re-admitting its exclusions once heal is up. The cluster is
-// published through reg as soon as it is built, so the controller can
-// poll exclusion state while the client is still streaming.
-func elClient(p *sim.Proc, node *hw.Node, serverIDs []hw.NodeID, peers []*rfsrv.Server,
-	view *rfsrv.MemberView, ino kernel.InodeID, timeout sim.Time,
-	ctl *elCtl, res *elResult, reg func(*rfsrv.Cluster)) error {
-	cl, err := msClusterRep(p, node, serverIDs, elWindow, elReplicas, timeout)
+// overwrites) through cl against its own file until the controller
+// flags done (or the run fails), re-admitting its exclusions once heal
+// is up.
+func elClient(p *sim.Proc, r *rig.Rig, cl *rfsrv.Cluster, ino kernel.InodeID, ctl *elCtl, res *elResult) error {
+	node := cl.Node()
+	va, err := node.Kernel.Mmap(rig.Chunk, "el-buf")
 	if err != nil {
 		return err
 	}
-	reg(cl)
-	if err := cl.SetResyncPeers(peers); err != nil {
-		return err
-	}
-	if view != nil {
-		cl.AttachView(view)
-	}
-	va, err := node.Kernel.Mmap(msStripe, "el-buf")
-	if err != nil {
-		return err
-	}
-	buf := vecKernel(node.Kernel, va, msStripe)
-	read := func(off int64) error {
-		issued := p.Now()
-		resp, err := cl.Read(p, ino, off, buf)
-		if err != nil {
-			return err
-		}
-		if lat := p.Now() - issued; lat > res.maxLat {
-			res.maxLat = lat
-		}
-		res.samples = append(res.samples, dgSample{at: p.Now(), bytes: int(resp.N)})
-		return nil
-	}
-	write := func(off int64, v core.Vector) error {
-		issued := p.Now()
-		if _, err := cl.Write(p, ino, off, v); err != nil {
-			return err
-		}
-		if lat := p.Now() - issued; lat > res.maxLat {
-			res.maxLat = lat
-		}
-		return nil
-	}
-	for k := 0; !ctl.done; k++ {
+	buf := vecKernel(node.Kernel, va, rig.Chunk)
+	for k := 0; !ctl.done && !r.Failed(); k++ {
 		if ctl.heal {
 			for _, s := range cl.DownServers() {
 				// A replay interrupted by residual timeouts keeps the
@@ -164,15 +127,21 @@ func elClient(p *sim.Proc, node *hw.Node, serverIDs []hw.NodeID, peers []*rfsrv.
 				}
 			}
 		}
-		if err := read(int64(k%elStripes) * msStripe); err != nil {
+		issued := p.Now()
+		resp, err := cl.Read(p, ino, int64(k%elStripes)*rig.Chunk, buf)
+		if err != nil {
 			return err
 		}
+		res.maxLat = max(res.maxLat, p.Now()-issued)
+		res.samples = append(res.samples, dgSample{at: p.Now(), bytes: int(resp.N)})
 		if k%elWriteEvery == elWriteEvery-1 {
 			// Rotate overwrites with a stride coprime to the stripe
 			// count, so dirty data spreads across the placement ring.
-			if err := write(int64((k*5)%elStripes)*msStripe, buf); err != nil {
+			issued := p.Now()
+			if _, err := cl.Write(p, ino, int64((k*5)%elStripes)*rig.Chunk, buf); err != nil {
 				return err
 			}
+			res.maxLat = max(res.maxLat, p.Now()-issued)
 		}
 	}
 	return nil
@@ -183,163 +152,129 @@ func elClient(p *sim.Proc, node *hw.Node, serverIDs []hw.NodeID, peers []*rfsrv.
 // join, just elPreDur+elTailDur of healthy traffic measuring makespan
 // throughput and worst latency.
 func (c Config) elRun(timeout sim.Time) (*elResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r := rig.New(c.Trace)
+	if err := r.AddServers(elServers, 0); err != nil {
+		return nil, err
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-		servers     []*rfsrv.Server
-	)
-	for j := 0; j < elServers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		serverFS = append(serverFS, fs)
-		srv := rfsrv.NewServer(n, fs)
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
-		servers = append(servers, srv)
-	}
-	opNode := cl.AddNode("operator")
+	opNode := r.HW.AddNode("operator")
+	opts := rig.Opts{Window: elWindow, Replicas: elReplicas, Timeout: timeout, Resync: true}
 
 	res := &elResult{}
 	ctl := &elCtl{}
 	clusters := make([]*rfsrv.Cluster, elClients)
-	var failure error
-	fail := func(err error) {
-		if failure == nil {
-			failure = err
-		}
-		ctl.done = true
-	}
-	done := 0
-	env.Spawn("el-setup", func(p *sim.Proc) {
+	r.Go("el-setup", func(p *sim.Proc) error {
 		// Seed the initial members only: the standby slot's store is
 		// rebuilt by the Join from the authoritative snapshot.
-		inos, err := msSeedStriped(p, serverFS[:elActive], serverNodes[:elActive],
-			elClients, elStripes*msStripe, elReplicas)
+		inos, err := r.Seed(p, elActive, elClients, elStripes*rig.Chunk, elReplicas)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		// The operator cluster publishes the shared membership view
 		// (members = the first elActive slots) and holds the bulk
 		// resync channel for the Join's store rebuild.
-		op, err := msClusterRep(p, opNode, serverIDs, elWindow, elReplicas, timeout)
+		op, err := r.View(p, mx.Attach(opNode), opts)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		if err := op.SetMembers(elActive); err != nil {
-			fail(err)
-			return
-		}
-		if err := op.SetResyncPeers(servers); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		view := op.ShareView()
 		res.started = p.Now()
 		for i := 0; i < elClients; i++ {
 			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("el-c%d", i), func(p *sim.Proc) {
-				err := elClient(p, node, serverIDs, servers, view, inos[i], timeout, ctl, res,
-					func(cluster *rfsrv.Cluster) { clusters[i] = cluster })
+			node := r.HW.AddNode(fmt.Sprintf("client%d", i))
+			r.Go(fmt.Sprintf("el-c%d", i), func(p *sim.Proc) error {
+				o := opts
+				o.View = view
+				cl, err := r.View(p, mx.Attach(node), o)
 				if err != nil {
-					fail(err)
-					return
+					return err
 				}
-				if p.Now() > res.finished {
-					res.finished = p.Now()
-				}
-				done++
+				clusters[i] = cl
+				return elClient(p, r, cl, inos[i], ctl, res)
 			})
 		}
-		env.Spawn("el-controller", func(p *sim.Proc) {
-			p.Sleep(elPreDur)
-			if timeout == 0 {
-				// Baseline: healthy traffic only.
-				p.Sleep(elTailDur)
-				ctl.done = true
-				return
-			}
-			res.killAt = p.Now()
-			serverNodes[elVictim].NIC.Kill()
-			p.Sleep(elDwellDur)
-			serverNodes[elVictim].NIC.Revive()
-			// Two deadlines: every flight lost to the kill has expired
-			// and late frames have drained; then clients re-admit via
-			// journal replay.
-			p.Sleep(2 * timeout)
-			res.healAt = p.Now()
-			ctl.heal = true
-			for polls := 0; ; polls++ {
-				if ctl.done {
-					return
-				}
-				clean := true
-				for _, cluster := range clusters {
-					if cluster == nil || len(cluster.DownServers()) > 0 {
-						clean = false
-						break
-					}
-				}
-				if clean {
-					break
-				}
-				if polls > 400 {
-					state := ""
-					for i, cluster := range clusters {
-						if cluster != nil {
-							state += fmt.Sprintf(" c%d:down=%v reinst=%d refus=%d", i,
-								cluster.DownServers(), cluster.Reinstates.N, cluster.ReinstateRefusals.N)
-						}
-					}
-					fail(fmt.Errorf("figures: elastic clients never healed:%s", state))
-					return
-				}
-				p.Sleep(50 * sim.Time(1e3))
-			}
-			// Expand N -> N+1 under load: online stripe migration, then
-			// the epoch cutover every attached client adopts.
-			res.joinStart = p.Now()
-			if err := op.Join(p, elJoiner); err != nil {
-				fail(fmt.Errorf("join of standby slot %d: %w", elJoiner, err))
-				return
-			}
-			res.cutAt = p.Now()
-			res.epoch = view.Epoch()
-			res.members = view.Members()
-			res.migratedBytes = op.Migrated.Bytes
-			p.Sleep(elTailDur)
-			ctl.done = true
+		r.Go("el-controller", func(p *sim.Proc) error {
+			return elControl(p, r, op, view, clusters, timeout, ctl, res)
 		})
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return nil, failure
+	if err := r.Run(0, elClients+2); err != nil {
+		return nil, fmt.Errorf("figures: elastic: %w", err)
 	}
-	if done != elClients {
-		return nil, fmt.Errorf("figures: %d/%d elastic clients finished", done, elClients)
-	}
+	res.finished = r.Finished
 	for _, cluster := range clusters {
-		if cluster != nil {
-			res.failovers += cluster.Failovers.N
-			res.reinstates += cluster.Reinstates.N
-			res.refusals += cluster.ReinstateRefusals.N
-			res.resyncOps += cluster.ResyncOps.N
-			res.resyncBytes += cluster.ResyncBytes.Bytes
-			res.spills += cluster.ResyncSpills.N
-		}
+		res.failovers += cluster.Failovers.N
+		res.reinstates += cluster.Reinstates.N
+		res.refusals += cluster.ReinstateRefusals.N
+		res.resyncOps += cluster.ResyncOps.N
+		res.resyncBytes += cluster.ResyncBytes.Bytes
+		res.spills += cluster.ResyncSpills.N
 	}
 	return res, nil
+}
+
+// elControl is the time-driven schedule of a run: healthy traffic,
+// then (timeout > 0) the victim's kill, revive, the clients' heal, and
+// the Join under load, then the post-expansion tail; it flags the
+// clients done at the end.
+func elControl(p *sim.Proc, r *rig.Rig, op *rfsrv.Cluster, view *rfsrv.MemberView, clusters []*rfsrv.Cluster, timeout sim.Time, ctl *elCtl, res *elResult) error {
+	defer func() { ctl.done = true }()
+	p.Sleep(elPreDur)
+	if timeout == 0 {
+		// Baseline: healthy traffic only.
+		p.Sleep(elTailDur)
+		return nil
+	}
+	res.killAt = p.Now()
+	r.Nodes[elVictim].NIC.Kill()
+	p.Sleep(elDwellDur)
+	r.Nodes[elVictim].NIC.Revive()
+	// Two deadlines: every flight lost to the kill has expired and
+	// late frames have drained; then clients re-admit via journal
+	// replay.
+	p.Sleep(2 * timeout)
+	res.healAt = p.Now()
+	ctl.heal = true
+	for polls := 0; ; polls++ {
+		if r.Failed() {
+			return nil
+		}
+		clean := true
+		for _, cluster := range clusters {
+			if cluster == nil || len(cluster.DownServers()) > 0 {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			break
+		}
+		if polls > 400 {
+			state := ""
+			for i, cluster := range clusters {
+				if cluster != nil {
+					state += fmt.Sprintf(" c%d:down=%v reinst=%d refus=%d", i,
+						cluster.DownServers(), cluster.Reinstates.N, cluster.ReinstateRefusals.N)
+				}
+			}
+			return fmt.Errorf("figures: elastic clients never healed:%s", state)
+		}
+		p.Sleep(50 * sim.Time(1e3))
+	}
+	// Expand N -> N+1 under load: online stripe migration, then the
+	// epoch cutover every attached client adopts.
+	res.joinStart = p.Now()
+	if err := op.Join(p, elJoiner); err != nil {
+		return fmt.Errorf("join of standby slot %d: %w", elJoiner, err)
+	}
+	res.cutAt = p.Now()
+	res.epoch = view.Epoch()
+	res.members = view.Members()
+	res.migratedBytes = op.Migrated.Bytes
+	p.Sleep(elTailDur)
+	return nil
 }
 
 // elPhases derives the per-phase throughput rows of a faulted run:

@@ -28,12 +28,11 @@ package figures
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -70,37 +69,22 @@ var mdModes = []string{"fan-out", "sharded"}
 // mdRun executes one scenario at one (sharded?, servers) point on a
 // fresh simulated cluster and returns aggregate namespace ops/s.
 func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r := rig.New(c.Trace)
+	replicas := 0
+	if sharded {
+		replicas = 1
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var serverIDs []hw.NodeID
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		srv := rfsrv.NewServer(n, fs)
-		if sharded {
-			fs.SetInodePartition(j, servers)
-			if err := srv.EnableSharding(j, servers, 1); err != nil {
-				return 0, err
-			}
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return 0, err
-		}
+	if err := r.AddServers(servers, replicas); err != nil {
+		return 0, err
 	}
-
+	// The replicated namespace cannot run concurrent creates safely; its
+	// create/unlink storm is the serialized best case, run by setup.
+	serial := scenario == "create-unlink" && !sharded
 	var (
-		failure  error
-		started  sim.Time
-		finished sim.Time
-		done     int
-		ops      int
+		started sim.Time
+		ops     int
 	)
-	env.Spawn("setup", func(p *sim.Proc) {
+	r.Go("setup", func(p *sim.Proc) error {
 		// Clusters and directories are set up serially: in fan-out mode
 		// concurrent namespace minting is unsafe (see the file comment),
 		// and keeping setup identical across modes keeps the storms the
@@ -108,18 +92,11 @@ func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, erro
 		clusters := make([]*rfsrv.Cluster, mdClients)
 		dirs := make([][]kernel.InodeID, mdClients)
 		files := make([][]kernel.InodeID, mdClients)
-		for i := 0; i < mdClients; i++ {
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			cluster, err := msCluster(p, node, serverIDs, msWindow)
+		for i := range clusters {
+			node := r.HW.AddNode(fmt.Sprintf("client%d", i))
+			cluster, err := r.View(p, mx.Attach(node), rig.Opts{Window: msWindow, Sharded: sharded})
 			if err != nil {
-				failure = err
-				return
-			}
-			if sharded {
-				if err := cluster.EnableShardedNamespace(); err != nil {
-					failure = err
-					return
-				}
+				return err
 			}
 			clusters[i] = cluster
 			for d := 0; d < mdDirsPerCli; d++ {
@@ -127,58 +104,39 @@ func (c Config) mdRun(scenario string, sharded bool, servers int) (float64, erro
 					Op: rfsrv.OpMkdir, Ino: 0, Name: fmt.Sprintf("c%d-d%d", i, d),
 				})
 				if err != nil {
-					failure = err
-					return
+					return err
 				}
 				dirs[i] = append(dirs[i], resp.Attr.Ino)
 			}
 			if err := mdSeedScenario(p, scenario, cluster, dirs[i], &files[i], i); err != nil {
-				failure = err
-				return
+				return err
 			}
 		}
 		started = p.Now()
-		if scenario == "create-unlink" && !sharded {
-			// The replicated namespace cannot run concurrent creates
-			// safely; its storm is the serialized best case.
-			for i := 0; i < mdClients; i++ {
-				n, err := mdStorm(p, scenario, clusters[i], dirs[i], files[i], i)
-				if err != nil {
-					failure = err
-					return
-				}
+		for i, cluster := range clusters {
+			storm := func(p *sim.Proc) error {
+				n, err := mdStorm(p, scenario, cluster, dirs[i], files[i], i)
 				ops += n
+				return err
 			}
-			finished = p.Now()
-			done = mdClients
-			return
-		}
-		for i := 0; i < mdClients; i++ {
-			i := i
-			env.Spawn(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
-				n, err := mdStorm(p, scenario, clusters[i], dirs[i], files[i], i)
-				if err != nil {
-					if failure == nil {
-						failure = err
-					}
-					return
+			if serial {
+				if err := storm(p); err != nil {
+					return err
 				}
-				ops += n
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
-			})
+				continue
+			}
+			r.Go(fmt.Sprintf("storm%d", i), storm)
 		}
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return 0, failure
+	want := 1
+	if !serial {
+		want += mdClients
 	}
-	if done != mdClients {
-		return 0, fmt.Errorf("figures: %d/%d metadata clients finished (%s sharded=%v s=%d)", done, mdClients, scenario, sharded, servers)
+	if err := r.Run(0, want); err != nil {
+		return 0, fmt.Errorf("figures: metadata %s sharded=%v s=%d: %w", scenario, sharded, servers, err)
 	}
-	span := finished - started
+	span := r.Finished - started
 	if span <= 0 {
 		return 0, fmt.Errorf("figures: metadata storm took no time (%s sharded=%v s=%d)", scenario, sharded, servers)
 	}

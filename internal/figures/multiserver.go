@@ -27,12 +27,10 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/nbd"
-	"repro/internal/netpipe"
 	"repro/internal/orfs"
-	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -40,9 +38,6 @@ const (
 	// msWindow is the per-server window: the best window from the PR 2
 	// scalability sweep (window 8 saturates one link).
 	msWindow = 8
-	// msStripe is the stripe width: one application chunk, so direct
-	// reads map one-to-one onto stripes.
-	msStripe = rfsrv.DefaultStripeSize
 	// msClients is the fixed client count: enough client NICs that
 	// 8 server links can in principle be kept busy (each link is
 	// 250 MB/s on both sides).
@@ -52,207 +47,43 @@ const (
 // msServersAxis is the swept server count.
 var msServersAxis = []int{1, 2, 4, 8}
 
-// msScenarios names the three workloads.
-var msScenarios = []string{"orfs-direct", "orfs-buffered", "nbd"}
-
-// msSeedStriped replicates the namespace onto every server the way
-// the cluster client would (same creation order everywhere → same
-// inode numbers) and writes each file's stripes onto their owners —
-// stripe k to servers (k mod N)..(k mod N)+R-1 at its global offset —
-// then extends every server's copy to the full size: the on-disk
-// layout a (replicated) cluster client's own writes would produce,
-// seeded server-side so setup cost stays out of the measurement. One
-// placement routine serves both the multiserver (R=1) and degraded
-// (R=2) suites, so it cannot drift from rfsrv.Cluster's policy in
-// just one of them.
-func msSeedStriped(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients, filePerCli, replicas int) ([]kernel.InodeID, error) {
-	inos := make([]kernel.InodeID, clients)
-	stripes := filePerCli / msStripe
-	n := len(serverFS)
-	for j, fs := range serverFS {
-		seedVA, err := servers[j].Kernel.Mmap(msStripe, "seed")
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < clients; i++ {
-			attr, err := fs.Create(p, fs.Root(), fmt.Sprintf("f%d", i))
-			if err != nil {
-				return nil, err
-			}
-			if j == 0 {
-				inos[i] = attr.Ino
-			} else if attr.Ino != inos[i] {
-				return nil, fmt.Errorf("figures: seed inode divergence (%d vs %d)", attr.Ino, inos[i])
-			}
-			for k := 0; k < stripes; k++ {
-				mine := false
-				for r := 0; r < replicas; r++ {
-					if (k%n+r)%n == j {
-						mine = true
-						break
-					}
-				}
-				if !mine {
-					continue
-				}
-				off := int64(k) * msStripe
-				if _, err := fs.WriteDirect(p, attr.Ino, off, vecKernel(servers[j].Kernel, seedVA, msStripe)); err != nil {
-					return nil, err
-				}
-			}
-			if err := fs.Truncate(p, attr.Ino, int64(filePerCli)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return inos, nil
-}
-
-// msSeedRfsrv is msSeedStriped at this suite's file size, without
-// replication.
-func msSeedRfsrv(p *sim.Proc, serverFS []*memfs.FS, servers []*hw.Node, clients int) ([]kernel.InodeID, error) {
-	return msSeedStriped(p, serverFS, servers, clients, scalFilePerCli, 1)
-}
-
-// msClusterRep wires one client node to every server: one kernel-side
-// MX fabric client per server on its own endpoint (reply deadline
-// armed when timeout > 0), one session per server, assembled into a
-// striped cluster with the given replication factor.
-func msClusterRep(p *sim.Proc, node *hw.Node, servers []hw.NodeID, window, replicas int, timeout sim.Time) (*rfsrv.Cluster, error) {
-	m := mx.Attach(node)
-	sessions := make([]*rfsrv.Session, len(servers))
-	for j, sid := range servers {
-		fc, err := rfsrv.NewMXClient(m, uint8(10+j), true, node.Kernel, sid, 1)
-		if err != nil {
-			return nil, err
-		}
-		if timeout > 0 {
-			fc.SetRequestTimeout(timeout)
-		}
-		if sessions[j], err = rfsrv.NewSession(p, fc, window); err != nil {
-			return nil, err
-		}
-	}
-	return rfsrv.NewReplicatedCluster(p, sessions, msStripe, replicas)
-}
-
-// msCluster is msClusterRep without replication or deadlines (the
-// fault-free multiserver suite).
-func msCluster(p *sim.Proc, node *hw.Node, servers []hw.NodeID, window int) (*rfsrv.Cluster, error) {
-	return msClusterRep(p, node, servers, window, 1, 0)
-}
-
-// msRun executes one scenario at one (servers, clients) point on a
-// fresh simulated cluster and returns aggregate throughput plus
-// per-request latency percentiles.
+// msRun executes one scenario at one (servers, clients) point.
 func (c Config) msRun(scenario string, servers, clients int) (scalResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-	)
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		switch scenario {
-		case "nbd":
-			srv, err := nbd.NewServer(n, clients*scalFilePerCli/nbd.BlockSize)
-			if err != nil {
-				return scalResult{}, err
-			}
-			if err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-				return scalResult{}, err
-			}
-		default:
-			fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-			serverFS = append(serverFS, fs)
-			if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-				return scalResult{}, err
-			}
-		}
-	}
-
-	var (
-		failure  error
-		samples  []sim.Time
-		started  sim.Time
-		finished sim.Time
-		done     int
-	)
-	env.Spawn("seed", func(p *sim.Proc) {
-		var inos []kernel.InodeID
-		if scenario != "nbd" {
-			var err error
-			if inos, err = msSeedRfsrv(p, serverFS, serverNodes, clients); err != nil {
-				failure = err
-				return
-			}
-		}
-		started = p.Now()
-		for i := 0; i < clients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				lat, err := c.msClient(p, scenario, node, serverIDs, inos, i, clients)
-				if err != nil && failure == nil {
-					failure = err
-					return
-				}
-				samples = append(samples, lat...)
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
-			})
-		}
-	})
-	env.Run(0)
-	if failure != nil {
-		return scalResult{}, failure
-	}
-	if done != clients {
-		return scalResult{}, fmt.Errorf("figures: %d/%d multiserver clients finished (%s s=%d)", done, clients, scenario, servers)
-	}
-	return summarize(samples, clients*scalFilePerCli, finished-started), nil
+	return c.readRun(msClient, scenario, servers, clients, msWindow)
 }
 
-// msClient runs one client's workload against the striped servers and
-// returns its latency samples.
-func (c Config) msClient(p *sim.Proc, scenario string, node *hw.Node, servers []hw.NodeID, inos []kernel.InodeID, i, clients int) ([]sim.Time, error) {
+// msClient is the multiserver suite's readClient: a striped view over
+// every server (a block-striped device for nbd).
+func msClient(p *sim.Proc, r *rig.Rig, scenario string, node *hw.Node, blockServers []hw.NodeID, inos []kernel.InodeID, i, window int) ([]sim.Time, error) {
 	switch scenario {
 	case "orfs-direct":
-		cluster, err := msCluster(p, node, servers, msWindow)
+		cluster, err := r.View(p, mx.Attach(node), rig.Opts{Window: window})
 		if err != nil {
 			return nil, err
 		}
-		return scalDirectReads(p, node, cluster, inos[i])
+		return streamLatencies(p, node, cluster, inos[i], scalFilePerCli)
 
 	case "orfs-buffered":
-		cluster, err := msCluster(p, node, servers, msWindow)
+		cluster, err := r.View(p, mx.Attach(node), rig.Opts{Window: window})
 		if err != nil {
 			return nil, err
 		}
 		osys := kernel.NewOS(node, 0)
-		osys.Mount("/mnt", orfs.New("orfs", cluster))
+		fs := orfs.New("orfs", cluster)
+		r.AtEnd(fs.Quiesce)
+		osys.Mount("/mnt", fs)
 		return scalBufferedReads(p, node, osys, fmt.Sprintf("/mnt/f%d", i), 0)
 
 	case "nbd":
 		m := mx.Attach(node)
-		totalBlocks := clients * scalFilePerCli / nbd.BlockSize
-		cls := make([]*nbd.Client, len(servers))
-		for j, sid := range servers {
+		totalBlocks := len(inos) * scalFilePerCli / nbd.BlockSize
+		cls := make([]*nbd.Client, len(blockServers))
+		for j, sid := range blockServers {
 			bc, err := nbd.NewClient(m, uint8(10+j), sid, 1, totalBlocks)
 			if err != nil {
 				return nil, err
 			}
-			if err := bc.SetWindow(msWindow); err != nil {
+			if err := bc.SetWindow(window); err != nil {
 				return nil, err
 			}
 			cls[j] = bc
@@ -264,7 +95,7 @@ func (c Config) msClient(p *sim.Proc, scenario string, node *hw.Node, servers []
 		osys := kernel.NewOS(node, 0)
 		// Combine enough device pages per miss that the resulting block
 		// queue spans every server's window.
-		osys.SetReadChunkPages(msWindow * len(servers))
+		osys.SetReadChunkPages(window * len(blockServers))
 		osys.Mount("/dev", dev)
 		return scalBufferedReads(p, node, osys, "/dev/disk", int64(i)*scalFilePerCli)
 	}
@@ -275,27 +106,15 @@ func (c Config) msClient(p *sim.Proc, scenario string, node *hw.Node, servers []
 // throughput and p50/p99 request latency against the server count,
 // with the window and client count fixed.
 func (c Config) MultiServer() ([]*Figure, error) {
-	var bwSeries, latSeries []netpipe.Series
-	for _, scen := range msScenarios {
-		var bw netpipe.Series
-		var p50s, p99s netpipe.Series
-		bw.Label = scen
-		p50s.Label, p99s.Label = scen+" p50", scen+" p99"
-		for _, s := range msServersAxis {
-			r, err := c.msRun(scen, s, msClients)
-			if err != nil {
-				return nil, err
-			}
-			bw.Points = append(bw.Points, netpipe.Point{Size: s, MBps: r.mbps})
-			p50s.Points = append(p50s.Points, netpipe.Point{Size: s, OneWay: r.p50})
-			p99s.Points = append(p99s.Points, netpipe.Point{Size: s, OneWay: r.p99})
-		}
-		bwSeries = append(bwSeries, bw)
-		latSeries = append(latSeries, p50s, p99s)
+	bwSeries, latSeries, err := readSweep(msServersAxis, func(scen string, s int) (scalResult, error) {
+		return c.msRun(scen, s, msClients)
+	})
+	if err != nil {
+		return nil, err
 	}
 	bwFig := &Figure{
 		ID:     "multiserver",
-		Title:  fmt.Sprintf("Aggregate striped-read throughput vs server count (%d clients, window %d, %d KB stripes)", msClients, msWindow, msStripe/1024),
+		Title:  fmt.Sprintf("Aggregate striped-read throughput vs server count (%d clients, window %d, %d KB stripes)", msClients, msWindow, rig.Chunk/1024),
 		XLabel: "servers (data striped across)", YLabel: "aggregate throughput (MB/s)",
 		Series: bwSeries,
 		Expected: "beyond the paper: its platform serves every client from one node; " +

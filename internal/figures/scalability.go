@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/nbd"
 	"repro/internal/netpipe"
 	"repro/internal/orfs"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // This file holds the sliding-window scalability suite: ablations
@@ -63,126 +61,96 @@ func summarize(samples []sim.Time, totalBytes int, makespan sim.Time) scalResult
 	}
 }
 
-// scalRun executes one scenario at one (clients, window) point on a
-// fresh cluster and returns aggregate throughput plus per-request
-// latency percentiles.
-func (c Config) scalRun(scenario string, clients, window int) (scalResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
-	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	server := cl.AddNode("server")
+// readClient runs client i's workload of one read-suite scenario at
+// the given per-server window and returns its latency samples.
+// blockServers names the nbd scenario's servers.
+type readClient func(p *sim.Proc, r *rig.Rig, scenario string, node *hw.Node, blockServers []hw.NodeID, inos []kernel.InodeID, i, window int) ([]sim.Time, error)
 
-	var serverFS *memfs.FS
-	var nbdSrv *nbd.Server
-	switch scenario {
-	case "nbd":
-		var err error
-		nbdSrv, err = nbd.NewServer(server, clients*scalFilePerCli/nbd.BlockSize)
-		if err != nil {
-			return scalResult{}, err
+// readRun runs one point of the scalability or multiserver suite on a
+// fresh cluster: servers rfsrv servers (block servers for nbd, whose
+// unwritten blocks read as zeros) seeded with one file per client,
+// then clients concurrent readers, each running client on its own
+// node. It returns aggregate throughput plus per-request latency
+// percentiles.
+func (c Config) readRun(client readClient, scenario string, servers, clients, window int) (scalResult, error) {
+	r := rig.New(c.Trace)
+	var blockServers []hw.NodeID
+	if scenario == "nbd" {
+		for j := 0; j < servers; j++ {
+			n := r.HW.AddNode(fmt.Sprintf("server%d", j))
+			blockServers = append(blockServers, n.ID)
+			srv, err := nbd.NewServer(n, clients*scalFilePerCli/nbd.BlockSize)
+			if err != nil {
+				return scalResult{}, err
+			}
+			if err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
+				return scalResult{}, err
+			}
 		}
-		if err := nbdSrv.ServeMX(mx.Attach(server), 1, 4); err != nil {
-			return scalResult{}, err
-		}
-	default:
-		serverFS = memfs.New("backing", server, 0)
-		srv := rfsrv.NewServer(server, serverFS)
-		if _, err := srv.ServeMX(mx.Attach(server), 1, 4); err != nil {
-			return scalResult{}, err
-		}
+	} else if err := r.AddServers(servers, 0); err != nil {
+		return scalResult{}, err
 	}
 
 	var (
-		failure  error
-		samples  []sim.Time
-		started  sim.Time
-		finished sim.Time
-		done     int
+		samples []sim.Time
+		started sim.Time
 	)
-	env.Spawn("seed", func(p *sim.Proc) {
-		// Seed one file per client (rfsrv scenarios). NBD blocks read
-		// as zeros unwritten; seeding is not needed for throughput.
+	r.Go("seed", func(p *sim.Proc) error {
 		inos := make([]kernel.InodeID, clients)
-		if serverFS != nil {
-			seedVA, err := server.Kernel.Mmap(scalFilePerCli, "seed")
-			if err != nil {
-				failure = err
-				return
-			}
-			for i := 0; i < clients; i++ {
-				attr, err := serverFS.Create(p, serverFS.Root(), fmt.Sprintf("f%d", i))
-				if err != nil {
-					failure = err
-					return
-				}
-				if _, err := serverFS.WriteDirect(p, attr.Ino, 0, vecKernel(server.Kernel, seedVA, scalFilePerCli)); err != nil {
-					failure = err
-					return
-				}
-				inos[i] = attr.Ino
+		if scenario != "nbd" {
+			var err error
+			if inos, err = r.Seed(p, servers, clients, scalFilePerCli, 1); err != nil {
+				return err
 			}
 		}
 		started = p.Now()
 		for i := 0; i < clients; i++ {
-			i := i
-			node := cl.AddNode(fmt.Sprintf("client%d", i))
-			env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
-				lat, err := c.scalClient(p, scenario, node, server.ID, inos, i, window)
-				if err != nil && failure == nil {
-					failure = err
-					return
-				}
+			node := r.HW.AddNode(fmt.Sprintf("client%d", i))
+			r.Go(fmt.Sprintf("cl%d", i), func(p *sim.Proc) error {
+				lat, err := client(p, r, scenario, node, blockServers, inos, i, window)
 				samples = append(samples, lat...)
-				if p.Now() > finished {
-					finished = p.Now()
-				}
-				done++
+				return err
 			})
 		}
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return scalResult{}, failure
+	if err := r.Run(0, clients+1); err != nil {
+		return scalResult{}, fmt.Errorf("figures: %s on %d servers, %d clients: %w", scenario, servers, clients, err)
 	}
-	if done != clients {
-		return scalResult{}, fmt.Errorf("figures: %d/%d scalability clients finished (%s w=%d)", done, clients, scenario, window)
-	}
-	return summarize(samples, clients*scalFilePerCli, finished-started), nil
+	return summarize(samples, clients*scalFilePerCli, r.Finished-started), nil
 }
 
-// scalClient runs one client's workload and returns its latency
-// samples.
-func (c Config) scalClient(p *sim.Proc, scenario string, node *hw.Node, server hw.NodeID, inos []kernel.InodeID, i, window int) ([]sim.Time, error) {
-	ep := uint8(10 + i)
+// scalRun executes one scenario at one (clients, window) point against
+// one server.
+func (c Config) scalRun(scenario string, clients, window int) (scalResult, error) {
+	return c.readRun(scalClient, scenario, 1, clients, window)
+}
+
+// scalClient is the scalability suite's readClient: a plain session to
+// the one server.
+func scalClient(p *sim.Proc, r *rig.Rig, scenario string, node *hw.Node, blockServers []hw.NodeID, inos []kernel.InodeID, i, window int) ([]sim.Time, error) {
+	ep := 10 + i
 	switch scenario {
 	case "orfs-direct":
-		fc, err := rfsrv.NewMXClient(mx.Attach(node), ep, true, node.Kernel, server, 1)
+		sess, err := r.Sessions(p, mx.Attach(node), rig.Opts{Window: window, EP: ep})
 		if err != nil {
 			return nil, err
 		}
-		sess, err := rfsrv.NewSession(p, fc, window)
-		if err != nil {
-			return nil, err
-		}
-		return scalDirectReads(p, node, sess, inos[i])
+		return streamLatencies(p, node, sess[0], inos[i], scalFilePerCli)
 
 	case "orfs-buffered":
-		fc, err := rfsrv.NewMXClient(mx.Attach(node), ep, true, node.Kernel, server, 1)
-		if err != nil {
-			return nil, err
-		}
-		sess, err := rfsrv.NewSession(p, fc, window)
+		sess, err := r.Sessions(p, mx.Attach(node), rig.Opts{Window: window, EP: ep})
 		if err != nil {
 			return nil, err
 		}
 		osys := kernel.NewOS(node, 0)
-		osys.Mount("/mnt", orfs.New("orfs", sess))
+		fs := orfs.New("orfs", sess[0])
+		r.AtEnd(fs.Quiesce)
+		osys.Mount("/mnt", fs)
 		return scalBufferedReads(p, node, osys, fmt.Sprintf("/mnt/f%d", i), 0)
 
 	case "nbd":
-		bc, err := nbd.NewClient(mx.Attach(node), ep, server, 1, len(inos)*scalFilePerCli/nbd.BlockSize)
+		bc, err := nbd.NewClient(mx.Attach(node), uint8(ep), blockServers[0], 1, len(inos)*scalFilePerCli/nbd.BlockSize)
 		if err != nil {
 			return nil, err
 		}
@@ -200,51 +168,16 @@ func (c Config) scalClient(p *sim.Proc, scenario string, node *hw.Node, server h
 	return nil, fmt.Errorf("figures: unknown scalability scenario %q", scenario)
 }
 
-// scalDirectReads issues the file's chunks through the client's window
-// (sliding, retired in order), one buffer per window slot so transfers
-// never share staging. It takes any Async client — a Session drives
-// one server, a Cluster stripes the same chunk stream across several
-// (each 64 KB chunk is exactly one stripe, so chunks round-robin) —
-// pacing issues with CanStart so a full per-server window retires the
-// oldest chunk instead of blocking the pipeline.
-func scalDirectReads(p *sim.Proc, node *hw.Node, sess rfsrv.Async, ino kernel.InodeID) ([]sim.Time, error) {
-	window := sess.Window()
-	bufs := make([]vm.VirtAddr, window)
-	for j := range bufs {
-		va, err := node.Kernel.Mmap(scalChunk, "scal-buf")
-		if err != nil {
-			return nil, err
-		}
-		bufs[j] = va
-	}
-	type inflight struct{ pd rfsrv.PendingOp }
-	var q []inflight
+// streamLatencies runs rig.StreamReads over the first size bytes of
+// ino and returns every request's latency. It takes any Async client:
+// a Session drives one server, a Cluster stripes the same chunk stream
+// across several.
+func streamLatencies(p *sim.Proc, node *hw.Node, a rfsrv.Async, ino kernel.InodeID, size int) ([]sim.Time, error) {
 	var samples []sim.Time
-	reads := scalFilePerCli / scalChunk
-	for issued := 0; issued < reads; issued++ {
-		off := int64(issued) * scalChunk
-		for len(q) > 0 && (len(q) == window || !sess.CanStart(ino, off, scalChunk)) {
-			pd := q[0].pd
-			q = q[1:]
-			if _, err := pd.Wait(p); err != nil {
-				return nil, err
-			}
-			samples = append(samples, p.Now()-pd.Issued())
-		}
-		pd, err := sess.StartRead(p, ino, off,
-			core.Of(core.KernelSeg(node.Kernel, bufs[issued%window], scalChunk)))
-		if err != nil {
-			return nil, err
-		}
-		q = append(q, inflight{pd})
-	}
-	for _, f := range q {
-		if _, err := f.pd.Wait(p); err != nil {
-			return nil, err
-		}
-		samples = append(samples, p.Now()-f.pd.Issued())
-	}
-	return samples, nil
+	err := rig.StreamReads(p, node, a, ino, size, func(pd rfsrv.PendingOp, _ *rfsrv.Resp) {
+		samples = append(samples, p.Now()-pd.Issued())
+	})
+	return samples, err
 }
 
 // scalBufferedReads reads the file sequentially through the VFS in
@@ -280,62 +213,68 @@ var (
 	scalClientsAxis = []int{1, 2, 4, 8}
 )
 
-// scalScenarios names the three workloads.
-var scalScenarios = []string{"orfs-direct", "orfs-buffered", "nbd"}
+// readScenarios names the three workloads of the scalability and
+// multiserver suites.
+var readScenarios = []string{"orfs-direct", "orfs-buffered", "nbd"}
+
+// readSweep runs every scenario at every x and returns one throughput
+// series and a p50/p99 latency pair per scenario.
+func readSweep(xs []int, run func(scen string, x int) (scalResult, error)) (bw, lat []netpipe.Series, err error) {
+	for _, scen := range readScenarios {
+		t := netpipe.Series{Label: scen}
+		p50 := netpipe.Series{Label: scen + " p50"}
+		p99 := netpipe.Series{Label: scen + " p99"}
+		for _, x := range xs {
+			r, err := run(scen, x)
+			if err != nil {
+				return nil, nil, err
+			}
+			t.Points = append(t.Points, netpipe.Point{Size: x, MBps: r.mbps})
+			p50.Points = append(p50.Points, netpipe.Point{Size: x, OneWay: r.p50})
+			p99.Points = append(p99.Points, netpipe.Point{Size: x, OneWay: r.p99})
+		}
+		bw = append(bw, t)
+		lat = append(lat, p50, p99)
+	}
+	return bw, lat, nil
+}
 
 // Scalability runs the whole suite and returns four figures: aggregate
 // throughput and p50/p99 latency against the window size (one client),
 // and the same pair against the client count (window 8).
 func (c Config) Scalability() ([]*Figure, error) {
-	sweep := func(id, title, xlabel string, xs []int, run func(x int, scen string) (scalResult, error)) (*Figure, *Figure, error) {
-		var bwSeries, latSeries []netpipe.Series
-		for _, scen := range scalScenarios {
-			var bw netpipe.Series
-			var p50s, p99s netpipe.Series
-			bw.Label = scen
-			p50s.Label, p99s.Label = scen+" p50", scen+" p99"
-			for _, x := range xs {
-				r, err := run(x, scen)
-				if err != nil {
-					return nil, nil, err
-				}
-				bw.Points = append(bw.Points, netpipe.Point{Size: x, MBps: r.mbps})
-				p50s.Points = append(p50s.Points, netpipe.Point{Size: x, OneWay: r.p50})
-				p99s.Points = append(p99s.Points, netpipe.Point{Size: x, OneWay: r.p99})
-			}
-			bwSeries = append(bwSeries, bw)
-			latSeries = append(latSeries, p50s, p99s)
+	sweep := func(id, title, xlabel string, xs []int, run func(scen string, x int) (scalResult, error)) ([]*Figure, error) {
+		bw, lat, err := readSweep(xs, run)
+		if err != nil {
+			return nil, err
 		}
-		bwFig := &Figure{
+		return []*Figure{{
 			ID: id, Title: title,
 			XLabel: xlabel, YLabel: "aggregate throughput (MB/s)",
-			Series: bwSeries,
+			Series: bw,
 			Expected: "beyond the paper: its prototypes are synchronous (window = 1), " +
 				"so these curves have no measured counterpart",
-		}
-		latFig := &Figure{
+		}, {
 			ID: id + "-lat", Title: title + " — request latency",
 			XLabel: xlabel, YLabel: "latency p50/p99 (µs)",
-			Series: latSeries,
+			Series: lat,
 			Expected: "deeper windows trade per-request latency (queueing) for " +
 				"aggregate throughput; p99 grows with the window",
-		}
-		return bwFig, latFig, nil
+		}}, nil
 	}
-
-	winBW, winLat, err := sweep("scal-window",
+	win, err := sweep("scal-window",
 		"Aggregate sequential-read throughput vs window size (1 client)",
 		"window (outstanding requests)", scalWindows,
-		func(w int, scen string) (scalResult, error) { return c.scalRun(scen, 1, w) })
+		func(scen string, w int) (scalResult, error) { return c.scalRun(scen, 1, w) })
 	if err != nil {
 		return nil, err
 	}
-	cliBW, cliLat, err := sweep("scal-clients",
+	cli, err := sweep("scal-clients",
 		"Aggregate sequential-read throughput vs concurrent clients (window 8)",
 		"concurrent clients", scalClientsAxis,
-		func(n int, scen string) (scalResult, error) { return c.scalRun(scen, n, 8) })
+		func(scen string, n int) (scalResult, error) { return c.scalRun(scen, n, 8) })
 	if err != nil {
 		return nil, err
 	}
-	return []*Figure{winBW, winLat, cliBW, cliLat}, nil
+	return append(win, cli...), nil
 }

@@ -31,12 +31,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/netpipe"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -84,120 +83,83 @@ type sfResult struct {
 // the amortized mode DESIGN.md §11 adds. The run fails if the final
 // size is not coherent on every server and through a homed getattr.
 func (c Config) sfRun(servers, chunksPerWriter int, batched bool) (sfResult, error) {
-	env := sim.NewEngine()
-	if c.Trace != nil {
-		env.SetTrace(c.Trace)
+	r := rig.New(c.Trace)
+	if err := r.AddServers(servers, 0); err != nil {
+		return sfResult{}, err
 	}
-	cl := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-
-	var (
-		serverNodes []*hw.Node
-		serverIDs   []hw.NodeID
-		serverFS    []*memfs.FS
-	)
-	for j := 0; j < servers; j++ {
-		n := cl.AddNode(fmt.Sprintf("server%d", j))
-		serverNodes = append(serverNodes, n)
-		serverIDs = append(serverIDs, n.ID)
-		fs := memfs.New(fmt.Sprintf("backing%d", j), n, 0)
-		serverFS = append(serverFS, fs)
-		if _, err := rfsrv.NewServer(n, fs).ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return sfResult{}, err
-		}
-	}
-
+	opts := rig.Opts{Window: sfWindow}
 	totalChunks := sfWriters * chunksPerWriter
 	total := int64(totalChunks) * sfChunk
 	var (
-		failure      error
 		ino          kernel.InodeID
 		started      sim.Time
-		finished     sim.Time
-		done         int
 		writeSamples []sim.Time
 		readSamples  []sim.Time
 		setSizeRPCs  int
 		bytesMoved   int
-		auditSize    int64
 	)
-	fail := func(err error) {
-		if failure == nil {
-			failure = err
-		}
-	}
-	env.Spawn("seed", func(p *sim.Proc) {
+	r.Go("seed", func(p *sim.Proc) error {
 		// Replicate the empty file onto every server the way a cluster
 		// client's fanned-out create would (same creation order → same
 		// inode and a zero size epoch everywhere).
-		for j, fs := range serverFS {
+		for j, fs := range r.FS {
 			attr, err := fs.Create(p, fs.Root(), "shared")
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
 			if j == 0 {
 				ino = attr.Ino
 			} else if attr.Ino != ino {
-				fail(fmt.Errorf("figures: shared-file seed inode divergence"))
-				return
+				return fmt.Errorf("figures: shared-file seed inode divergence")
 			}
 		}
 		started = p.Now()
-		clientDone := func(p *sim.Proc) {
-			if p.Now() > finished {
-				finished = p.Now()
-			}
-			done++
-			if done == sfWriters+sfReaders {
-				c.sfAudit(p, cl, serverIDs, serverFS, ino, total, &auditSize, fail)
-			}
-		}
 		for w := 0; w < sfWriters; w++ {
 			w := w
-			node := cl.AddNode(fmt.Sprintf("writer%d", w))
-			env.Spawn(fmt.Sprintf("wr%d", w), func(p *sim.Proc) {
-				lat, moved, rpcs, err := sfWriter(p, node, serverIDs, ino, w, chunksPerWriter, batched)
+			node := r.HW.AddNode(fmt.Sprintf("writer%d", w))
+			r.Go(fmt.Sprintf("wr%d", w), func(p *sim.Proc) error {
+				cluster, err := r.View(p, mx.Attach(node), opts)
 				if err != nil {
-					fail(err)
-					return
+					return err
+				}
+				lat, moved, rpcs, err := sfWriter(p, cluster, ino, w, chunksPerWriter, batched)
+				if err != nil {
+					return err
 				}
 				writeSamples = append(writeSamples, lat...)
 				bytesMoved += moved
 				setSizeRPCs += rpcs
-				clientDone(p)
+				return nil
 			})
 		}
-		for r := 0; r < sfReaders; r++ {
-			r := r
-			node := cl.AddNode(fmt.Sprintf("reader%d", r))
-			env.Spawn(fmt.Sprintf("rd%d", r), func(p *sim.Proc) {
-				lat, moved, err := sfReader(p, node, serverIDs, ino, total)
+		for i := 0; i < sfReaders; i++ {
+			node := r.HW.AddNode(fmt.Sprintf("reader%d", i))
+			r.Go(fmt.Sprintf("rd%d", i), func(p *sim.Proc) error {
+				cluster, err := r.View(p, mx.Attach(node), opts)
 				if err != nil {
-					fail(err)
-					return
+					return err
+				}
+				lat, moved, err := sfReader(p, cluster, ino, total)
+				if err != nil {
+					return err
 				}
 				readSamples = append(readSamples, lat...)
 				bytesMoved += moved
-				clientDone(p)
+				return nil
 			})
 		}
+		return nil
 	})
-	env.Run(0)
-	if failure != nil {
-		return sfResult{}, failure
-	}
-	if done != sfWriters+sfReaders {
-		return sfResult{}, fmt.Errorf("figures: %d/%d shared-file clients finished (s=%d)", done, sfWriters+sfReaders, servers)
-	}
-	if auditSize != total {
-		return sfResult{}, fmt.Errorf("figures: shared-file audit never ran")
+	r.AtEnd(func(p *sim.Proc) error { return sfAudit(p, r, opts, ino, total) })
+	if err := r.Run(0, 1+sfWriters+sfReaders); err != nil {
+		return sfResult{}, fmt.Errorf("figures: shared-file s=%d: %w", servers, err)
 	}
 	w := summarize(writeSamples, 0, 0)
-	r := summarize(readSamples, 0, 0)
+	rd := summarize(readSamples, 0, 0)
 	res := sfResult{
-		mbps:     mbps(bytesMoved, finished-started),
+		mbps:     mbps(bytesMoved, r.Finished-started),
 		writeP50: w.p50, writeP99: w.p99,
-		readP50: r.p50, readP99: r.p99,
+		readP50: rd.p50, readP99: rd.p99,
 		setSizeRPCs: setSizeRPCs,
 		writeChunks: totalChunks,
 	}
@@ -205,50 +167,40 @@ func (c Config) sfRun(servers, chunksPerWriter int, batched bool) (sfResult, err
 	return res, nil
 }
 
-// sfAudit is the end-of-run coherence check, run once on the last
-// client's process: every server's local size and a homed getattr
-// through a fresh cluster client must agree on the file's final size.
-func (c Config) sfAudit(p *sim.Proc, cl *hw.Cluster, servers []hw.NodeID,
-	serverFS []*memfs.FS, ino kernel.InodeID, total int64,
-	auditSize *int64, fail func(error)) {
-	for j, fs := range serverFS {
+// sfAudit is the end-of-run coherence check, run once every client
+// has finished: every server's local size and a homed getattr through
+// a fresh cluster client must agree on the file's final size.
+func sfAudit(p *sim.Proc, r *rig.Rig, opts rig.Opts, ino kernel.InodeID, total int64) error {
+	for j, fs := range r.FS {
 		a, err := fs.Getattr(p, ino)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		if a.Size != total {
-			fail(fmt.Errorf("figures: shared-file incoherent: server %d local size %d, want %d", j, a.Size, total))
-			return
+			return fmt.Errorf("figures: shared-file incoherent: server %d local size %d, want %d", j, a.Size, total)
 		}
 	}
-	node := cl.AddNode("audit")
-	cluster, err := msCluster(p, node, servers, sfWindow)
+	cluster, err := r.View(p, mx.Attach(r.HW.AddNode("audit")), opts)
 	if err != nil {
-		fail(err)
-		return
+		return err
 	}
 	resp, err := cluster.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
 	if err != nil || resp.Attr.Size != total {
-		fail(fmt.Errorf("figures: shared-file homed getattr = %d (%v), want %d", resp.Attr.Size, err, total))
-		return
+		return fmt.Errorf("figures: shared-file homed getattr = %d (%v), want %d", resp.Attr.Size, err, total)
 	}
-	*auditSize = total
+	return nil
 }
 
 // sfWriter appends writer w's interleaved chunks (w, w+K, w+2K, ...)
-// to the shared file through its own cluster, synchronously, and
+// to the shared file through cluster, synchronously, and
 // returns chunk latencies, bytes written, and the OpSetSize RPCs its
 // cluster issued. Per-write mode pays the reconciliation fan on every
 // size-extending write; batched mode coalesces the ends through the
 // publish queue — one combined batch round per window drain — and
 // drains the queue before the writer finishes, so the end-of-run
 // audit still sees every server agreeing on the final size.
-func sfWriter(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeID, w, chunksPerWriter int, batched bool) ([]sim.Time, int, int, error) {
-	cluster, err := msCluster(p, node, servers, sfWindow)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+func sfWriter(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, w, chunksPerWriter int, batched bool) ([]sim.Time, int, int, error) {
+	node := cluster.Node()
 	if batched {
 		if err := cluster.SetSizePublishBatch(rfsrv.DefaultSizePublishBatch); err != nil {
 			return nil, 0, 0, err
@@ -282,17 +234,14 @@ func sfWriter(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeI
 	return samples, moved, int(cluster.SetSizes.N), nil
 }
 
-// sfReader tails the shared file through its own cluster: a homed
+// sfReader tails the shared file through cluster: a homed
 // getattr (the size authority) bounds how far it may read, whole
 // chunks stream through the window, and a reader that catches up with
 // the writers sleeps briefly before re-checking. Chunks the writers
 // have not reached yet inside the visible size read as holes — the
 // reader measures coherence and transport cost, not content.
-func sfReader(p *sim.Proc, node *hw.Node, servers []hw.NodeID, ino kernel.InodeID, total int64) ([]sim.Time, int, error) {
-	cluster, err := msCluster(p, node, servers, sfWindow)
-	if err != nil {
-		return nil, 0, err
-	}
+func sfReader(p *sim.Proc, cluster *rfsrv.Cluster, ino kernel.InodeID, total int64) ([]sim.Time, int, error) {
+	node := cluster.Node()
 	window := cluster.Window()
 	bufs := make([]core.Vector, window)
 	for j := range bufs {

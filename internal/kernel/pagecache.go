@@ -4,8 +4,10 @@ package kernel
 // with LRU eviction, busy pinning, dirty tracking and writeback, plus
 // the chunked fill path that models Linux 2.6-style read combining.
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -229,7 +231,7 @@ func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
 			dirty = append(dirty, pg)
 		}
 	}
-	sortPages(dirty)
+	slices.SortFunc(dirty, pageOrder)
 	for _, pg := range dirty {
 		if err := pc.writeback(p, pg); err != nil {
 			return err
@@ -239,7 +241,8 @@ func (pc *PageCache) FlushInode(p *sim.Proc, fs FileSystem, ino InodeID) error {
 }
 
 // InvalidateInode drops all pages of (fs, ino), discarding dirty data
-// (used by truncate/unlink and O_DIRECT coherence).
+// (used by truncate/unlink and O_DIRECT coherence). Frames go back to
+// memory in page order, so later allocations replay exactly.
 func (pc *PageCache) InvalidateInode(fs FileSystem, ino InodeID) {
 	var doomed []*CachedPage
 	for _, pg := range pc.entries {
@@ -247,15 +250,11 @@ func (pc *PageCache) InvalidateInode(fs FileSystem, ino InodeID) {
 			doomed = append(doomed, pg)
 		}
 	}
+	slices.SortFunc(doomed, pageOrder)
 	for _, pg := range doomed {
 		pc.remove(pg)
 	}
 }
 
-func sortPages(ps []*CachedPage) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].key.idx < ps[j-1].key.idx; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
+// pageOrder orders one inode's cached pages by page index.
+func pageOrder(a, b *CachedPage) int { return cmp.Compare(a.key.idx, b.key.idx) }

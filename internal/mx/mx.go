@@ -450,26 +450,33 @@ func (ep *Endpoint) CancelRecv(p *sim.Proc, req *Request) bool {
 			return true
 		}
 	}
-	for id, r := range ep.rndvIn {
-		if r != req {
-			continue
+	// A request sits under at most one rendezvous id: find it, then
+	// act outside the map iteration.
+	found := false
+	var id uint64
+	for k, r := range ep.rndvIn {
+		if r == req {
+			id, found = k, true
+			break
 		}
-		delete(ep.rndvIn, id)
-		ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
-		// The buffer was pinned when the CTS went out; undo it here —
-		// the completion path that normally unpins will never run.
-		if req.unpin != nil {
-			if pages := req.vector.UserPages(); pages > 0 {
-				ep.mx.node.CPU.Unpin(p, pages)
-			}
-			req.unpin()
-			req.unpin = nil
-		}
-		req.status.Err = ErrCancelled
-		req.done.Fire()
-		return true
 	}
-	return false
+	if !found {
+		return false
+	}
+	delete(ep.rndvIn, id)
+	ep.mx.node.CPU.Compute(p, ep.mx.p.MXHostSend/2) // descriptor removal
+	// The buffer was pinned when the CTS went out; undo it here — the
+	// completion path that normally unpins will never run.
+	if req.unpin != nil {
+		if pages := req.vector.UserPages(); pages > 0 {
+			ep.mx.node.CPU.Unpin(p, pages)
+		}
+		req.unpin()
+		req.unpin = nil
+	}
+	req.status.Err = ErrCancelled
+	req.done.Fire()
+	return true
 }
 
 // ErrCancelled is the completion status of a receive withdrawn by

@@ -19,6 +19,8 @@ package orfs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -176,11 +178,19 @@ func (f *FS) Sync(p *sim.Proc) error {
 	return first
 }
 
-// dropReadahead retires (and discards) every outstanding prefetch —
-// required before anything that could make the prefetched bytes stale
-// or free their frames while a receive is still scattering into them.
+// Quiesce retires everything the mount has in flight — write-behind
+// and readahead prefetches — so its session windows end idle. Call it
+// before tearing the mount down; it returns the first deferred write
+// error.
+func (f *FS) Quiesce(p *sim.Proc) error { return f.barrier(p, true) }
+
+// dropReadahead retires (and discards) every outstanding prefetch, in
+// page order — required before anything that could make the
+// prefetched bytes stale or free their frames while a receive is still
+// scattering into them.
 func (f *FS) dropReadahead(p *sim.Proc) {
-	for idx, pf := range f.ra {
+	for _, idx := range slices.Sorted(maps.Keys(f.ra)) {
+		pf := f.ra[idx]
 		pf.pd.Wait(p)
 		f.node.Mem.Put(pf.frame)
 		delete(f.ra, idx)

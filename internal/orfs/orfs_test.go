@@ -16,18 +16,18 @@ import (
 	"repro/internal/vm"
 )
 
-type rig struct {
+type fixture struct {
 	env            *sim.Engine
 	client, server *hw.Node
 	backing        *memfs.FS
 	fs             *orfs.FS
 }
 
-func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
+func run(t *testing.T, body func(r *fixture, p *sim.Proc)) {
 	t.Helper()
 	env := sim.NewEngine()
 	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &rig{env: env}
+	r := &fixture{env: env}
 	r.client, r.server = c.AddNode("client"), c.AddNode("server")
 	r.backing = memfs.New("backing", r.server, 0)
 	srv := rfsrv.NewServer(r.server, r.backing)
@@ -53,7 +53,7 @@ func run(t *testing.T, body func(r *rig, p *sim.Proc)) {
 }
 
 func TestMetaOpMapping(t *testing.T) {
-	run(t, func(r *rig, p *sim.Proc) {
+	run(t, func(r *fixture, p *sim.Proc) {
 		root, err := r.fs.Getattr(p, r.fs.Root())
 		if err != nil || root.Kind != kernel.Directory {
 			t.Fatalf("root: %v %v", root, err)
@@ -94,7 +94,7 @@ func TestMetaOpMapping(t *testing.T) {
 }
 
 func TestReadPageZeroCopyIntoFrame(t *testing.T) {
-	run(t, func(r *rig, p *sim.Proc) {
+	run(t, func(r *fixture, p *sim.Proc) {
 		root, _ := r.fs.Getattr(p, r.fs.Root())
 		f, _ := r.fs.Create(p, root.Ino, "f")
 		// Seed two pages of data through WriteDirect.
@@ -130,7 +130,7 @@ func TestReadPageZeroCopyIntoFrame(t *testing.T) {
 }
 
 func TestWritePageRoundtrip(t *testing.T) {
-	run(t, func(r *rig, p *sim.Proc) {
+	run(t, func(r *fixture, p *sim.Proc) {
 		root, _ := r.fs.Getattr(p, r.fs.Root())
 		f, _ := r.fs.Create(p, root.Ino, "f")
 		frame, _ := r.client.Mem.AllocFrame()
@@ -153,7 +153,7 @@ func TestWritePageRoundtrip(t *testing.T) {
 }
 
 func TestDirectVectorPassThrough(t *testing.T) {
-	run(t, func(r *rig, p *sim.Proc) {
+	run(t, func(r *fixture, p *sim.Proc) {
 		root, _ := r.fs.Getattr(p, r.fs.Root())
 		f, _ := r.fs.Create(p, root.Ino, "f")
 		as := r.client.NewUserSpace("app")

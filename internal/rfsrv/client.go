@@ -469,21 +469,11 @@ func (c *FabricClient) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	if err := ValidateReq(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
-	c.lock.Acquire(p)
-	defer c.lock.Release()
-	c.seq++
-	req.Seq, req.EP = c.seq, c.myEP
-	hdrOp, err := c.postHdr(p, &c.ctl, req.Seq)
+	fl, err := startSyncMeta(p, c, req)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.sendReq(p, &c.ctl, req, nil); err != nil {
-		// The request never left (e.g. dead-peer rejection): withdraw
-		// the posted receive so the control buffer stays quiescent.
-		fabric.Cancel(p, hdrOp)
-		return nil, err
-	}
-	return c.finish(p, &c.ctl, hdrOp, req.Seq, c.timeout)
+	return fl.wait(p)
 }
 
 // Rename implements Renamer over one server: a single OpRenameLocal.

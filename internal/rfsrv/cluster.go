@@ -1395,7 +1395,7 @@ func (cl *Cluster) setSizeFan(p *sim.Proc, ino kernel.InodeID, end int64, epoch 
 		}
 		cl.SetSizes.Add(1)
 		cl.fanReq = Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, epoch)}
-		fl, err := startSyncMeta(p, s, &cl.fanReq)
+		fl, err := startSyncMeta(p, s.c, &cl.fanReq)
 		if err != nil {
 			if fabric.IsFault(err) {
 				cl.markDown(i)
@@ -1853,14 +1853,13 @@ type syncMetaFlight struct {
 //
 //analyze:lockorder Session.free < FabricClient.lock
 
-// startSyncMeta issues a metadata request through s's underlying
-// synchronous client — its private control buffers, NOT a window slot.
-// This is what makes cluster metadata deadlock-free: a consumer whose
+// startSyncMeta issues a metadata request on c's synchronous control
+// path — its private control buffers, NOT a session window slot. This
+// is what makes cluster metadata deadlock-free: a consumer whose
 // striped reads or writes hold every window slot of some server
 // (ORFS readahead can legitimately do this) can still look up, stat
 // and reconcile, because metadata never waits on the data windows.
-func startSyncMeta(p *sim.Proc, s *Session, req *Req) (syncMetaFlight, error) {
-	c := s.c
+func startSyncMeta(p *sim.Proc, c *FabricClient, req *Req) (syncMetaFlight, error) {
 	c.lock.Acquire(p)
 	c.seq++
 	req.Seq, req.EP = c.seq, c.myEP
@@ -1888,7 +1887,7 @@ func (fl *syncMetaFlight) wait(p *sim.Proc) (*Resp, error) {
 
 // syncMeta is one synchronous metadata round trip to server idx.
 func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req) (*Resp, error) {
-	fl, err := startSyncMeta(p, cl.sessions[idx], req)
+	fl, err := startSyncMeta(p, cl.sessions[idx].c, req)
 	if err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -2047,7 +2046,7 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 		// next iteration may overwrite it (per-server clones would only
 		// feed the garbage collector).
 		cl.fanReq = *req
-		fl, err := startSyncMeta(p, s, &cl.fanReq)
+		fl, err := startSyncMeta(p, s.c, &cl.fanReq)
 		if err != nil {
 			if fabric.IsFault(err) {
 				cl.markDown(i)

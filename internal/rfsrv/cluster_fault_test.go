@@ -18,6 +18,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -31,22 +32,7 @@ const faultTimeout = 2 * time.Millisecond
 // session with the reply deadline armed.
 func (r *clusterRig) clusterRep(t *testing.T, p *sim.Proc, window, stripe, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(10+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.SetRequestTimeout(faultTimeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, stripe, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.view(t, p, rig.Opts{Window: window, Stripe: stripe, Replicas: replicas, Timeout: faultTimeout})
 }
 
 // checkNoLeaks asserts every node's shared fabric pool has nothing
@@ -56,7 +42,7 @@ func (r *clusterRig) checkNoLeaks(t *testing.T) {
 	if err := fabric.PoolOf(r.client).CheckLeaks(); err != nil {
 		t.Errorf("client pool: %v", err)
 	}
-	for i, srv := range r.servers {
+	for i, srv := range r.Nodes {
 		if err := fabric.PoolOf(srv).CheckLeaks(); err != nil {
 			t.Errorf("server %d pool: %v", i, err)
 		}
@@ -98,13 +84,13 @@ func TestClusterReadFailoverAfterKill(t *testing.T) {
 		for k := 0; k < size/testStripe; k++ {
 			for rep := 0; rep < 2; rep++ {
 				s := (k + rep) % 3
-				if r.serverFS[s].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
+				if r.FS[s].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
 					t.Fatalf("stripe %d missing on replica %d (server %d)", k, rep, s)
 				}
 			}
 		}
 
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 
 		rva, rvec := r.kbuf(t, size)
 		resp, err := cl.Read(p, ino, 0, rvec)
@@ -158,7 +144,7 @@ func TestClusterPipelinedFailoverReleasesSlots(t *testing.T) {
 			}
 			pds = append(pds, pd)
 		}
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 		for k, pd := range pds {
 			resp, err := pd.Wait(p)
 			if err != nil || int(resp.N) != testStripe {
@@ -193,7 +179,7 @@ func TestClusterWriteSurvivesReplicaLoss(t *testing.T) {
 		data := pattern(size)
 		ino := clusterCreate(t, p, cl, "f")
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 
 		va, vec := r.kbuf(t, size)
 		if err := r.client.Kernel.WriteBytes(va, data); err != nil {
@@ -240,8 +226,8 @@ func TestClusterAllReplicasDownFails(t *testing.T) {
 		if _, err := cl.Write(p, ino, 0, vec); err != nil {
 			t.Fatal(err)
 		}
-		r.servers[0].NIC.Kill()
-		r.servers[1].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		rva, rvec := r.kbuf(t, size)
 		_, err := cl.Read(p, ino, 0, rvec)
 		if err == nil {
@@ -298,7 +284,7 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r.servers[1].NIC.StallFor(10 * faultTimeout)
+		r.Nodes[1].NIC.StallFor(10 * faultTimeout)
 		resp, err := cl.Write(p, ino, 0, vec)
 		if err != nil || int(resp.N) != testStripe {
 			t.Fatalf("write across stalled reconciliation: n=%d err=%v", resp.N, err)
@@ -306,7 +292,7 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 		if down := cl.DownServers(); len(down) != 1 || down[0] != 1 {
 			t.Fatalf("down servers = %v, want [1] (setsize fan-out faulted)", down)
 		}
-		if a, _ := r.serverFS[0].Getattr(p, ino); a.Size != testStripe {
+		if a, _ := r.FS[0].Getattr(p, ino); a.Size != testStripe {
 			t.Fatalf("data server size = %d, want %d", a.Size, testStripe)
 		}
 
@@ -320,7 +306,7 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 		if err != nil || int(resp.N) != testStripe {
 			t.Fatalf("re-run write after transient fault: n=%d err=%v", resp.N, err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
 				t.Fatalf("server %d size = %d after retry, want %d", s, a.Size, testStripe)
 			}
@@ -332,15 +318,15 @@ func TestClusterSetSizeRetryAfterTransientFault(t *testing.T) {
 		// Idempotence proper: replaying a grow-mode OpSetSize against
 		// already-extended servers changes nothing (the cluster stamps
 		// the observed epoch itself).
-		before := make([]int64, len(r.serverFS))
-		for s, fs := range r.serverFS {
+		before := make([]int64, len(r.FS))
+		for s, fs := range r.FS {
 			a, _ := fs.Getattr(p, ino)
 			before[s] = a.Size
 		}
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpSetSize, Ino: ino, Off: testStripe}); err != nil {
 			t.Fatalf("explicit OpSetSize replay: %v", err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != before[s] {
 				t.Fatalf("OpSetSize replay changed server %d size %d -> %d", s, before[s], a.Size)
 			}
@@ -362,8 +348,8 @@ func TestClusterCrossClientExtend(t *testing.T) {
 	r := newClusterRig(t, 2)
 	r.run(t, func(p *sim.Proc) {
 		mkCluster := func(baseEP uint8) *rfsrv.Cluster {
-			sessions := make([]*rfsrv.Session, len(r.servers))
-			for i, srv := range r.servers {
+			sessions := make([]*rfsrv.Session, len(r.Nodes))
+			for i, srv := range r.Nodes {
 				fc, err := rfsrv.NewMXClient(r.clientMX, baseEP+uint8(i), true, r.client.Kernel, srv.ID, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -407,7 +393,7 @@ func TestClusterCrossClientExtend(t *testing.T) {
 		if _, err := clB.Write(p, ino, 0, vecB.Slice(0, 2*testStripe)); err != nil {
 			t.Fatal(err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			a, err := fs.Getattr(p, ino)
 			if err != nil || a.Size != 2*testStripe {
 				t.Fatalf("server %d local size = %d (%v), want %d: truncate-then-overwrite must reconcile", s, a.Size, err, 2*testStripe)
@@ -437,7 +423,7 @@ func TestClusterCrossClientExtend(t *testing.T) {
 		if _, err := clB.Write(p, ino, 0, vecB.Slice(0, testStripe/2)); err != nil {
 			t.Fatal(err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
 				t.Fatalf("server %d size = %d after below-EOF overwrite, want %d (no resurrection)", s, a.Size, testStripe)
 			}
@@ -451,7 +437,7 @@ func TestClusterCrossClientExtend(t *testing.T) {
 		if _, err := clB.Write(p, ino, 0, vecX); err != nil {
 			t.Fatal(err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != full+testStripe {
 				t.Fatalf("server %d size = %d after extending write, want %d", s, a.Size, full+testStripe)
 			}
@@ -554,7 +540,7 @@ func TestClusterSetSizeToExcludedHomeFansToReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r.servers[2].NIC.Kill()
+		r.Nodes[2].NIC.Kill()
 
 		resp, err := cl.Write(p, ino, 0, vec)
 		if err != nil || int(resp.N) != testStripe {
@@ -573,7 +559,7 @@ func TestClusterSetSizeToExcludedHomeFansToReplicas(t *testing.T) {
 		// Recover out of band, reinstate (must be allowed: only grow
 		// reconciliation ran during the exclusion), re-run the write:
 		// the replay must converge the reinstated server's local size.
-		r.servers[2].NIC.Revive()
+		r.Nodes[2].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 2); err != nil {
 			t.Fatalf("reinstate after mutation-free exclusion: %v", err)
@@ -581,7 +567,7 @@ func TestClusterSetSizeToExcludedHomeFansToReplicas(t *testing.T) {
 		if _, err := cl.Write(p, ino, 0, vec); err != nil {
 			t.Fatalf("re-run write after reinstate: %v", err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
 				t.Fatalf("server %d size = %d after reinstate replay, want %d", s, a.Size, testStripe)
 			}
@@ -616,7 +602,7 @@ func TestClusterReinstateReplaysMissedMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		// Any operation touching the victim observes the fault.
 		if _, err := cl.Write(p, ino, 0, vec); err != nil {
 			t.Fatalf("replicated write across kill: %v", err)
@@ -631,7 +617,7 @@ func TestClusterReinstateReplaysMissedMutation(t *testing.T) {
 			t.Fatalf("mkdir with excluded server: %v", err)
 		}
 
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate with a journaled mkdir: %v", err)
@@ -646,7 +632,7 @@ func TestClusterReinstateReplaysMissedMutation(t *testing.T) {
 			t.Fatalf("down servers = %v after replayed reinstate, want none", down)
 		}
 		// The replay converged server 1: it holds the directory it missed.
-		if a, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), "d"); err != nil || a.Kind != kernel.Directory {
+		if a, err := r.FS[1].Lookup(p, r.FS[1].Root(), "d"); err != nil || a.Kind != kernel.Directory {
 			t.Fatalf("reinstated server's replayed mkdir = %+v, %v; want a directory", a, err)
 		}
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); err != nil {
@@ -700,7 +686,7 @@ func TestClusterReinstateTargetedInvalidation(t *testing.T) {
 		if homed2 == 0 {
 			t.Fatal("no candidate file homed on server 2")
 		}
-		r.servers[2].NIC.Kill()
+		r.Nodes[2].NIC.Kill()
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: homed2}); err != nil {
 			t.Fatalf("getattr across kill: %v", err)
 		}
@@ -713,11 +699,11 @@ func TestClusterReinstateTargetedInvalidation(t *testing.T) {
 		if _, err := cl.Write(p, dur, 0, vecD); err != nil {
 			t.Fatalf("write during exclusion: %v", err)
 		}
-		if a, _ := r.serverFS[2].Getattr(p, dur); a.Size != 0 {
+		if a, _ := r.FS[2].Getattr(p, dur); a.Size != 0 {
 			t.Fatalf("excluded server learned dur's size %d, want 0", a.Size)
 		}
 
-		r.servers[2].NIC.Revive()
+		r.Nodes[2].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 2); err != nil {
 			t.Fatalf("reinstate: %v", err)
@@ -741,7 +727,7 @@ func TestClusterReinstateTargetedInvalidation(t *testing.T) {
 		if cl.SetSizes.N == before {
 			t.Fatal("overwrite of a file written during the exclusion issued no reconciliation; its cache entry should have been dropped")
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, dur); a.Size != testStripe {
 				t.Fatalf("server %d size = %d for dur after replay, want %d", s, a.Size, testStripe)
 			}

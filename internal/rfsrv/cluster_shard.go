@@ -401,7 +401,7 @@ func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 			cl.MetaFanout.Add(1)
 		}
 		cl.fanReq = *req
-		fl, err := startSyncMeta(p, cl.sessions[i], &cl.fanReq)
+		fl, err := startSyncMeta(p, cl.sessions[i].c, &cl.fanReq)
 		if err != nil {
 			if fabric.IsFault(err) {
 				cl.markDown(i)
@@ -473,7 +473,7 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 		}
 		cl.MetaFanout.Add(1)
 		cl.fanReq = *req
-		fl, err := startSyncMeta(p, cl.sessions[i], &cl.fanReq)
+		fl, err := startSyncMeta(p, cl.sessions[i].c, &cl.fanReq)
 		if err != nil {
 			if fabric.IsFault(err) {
 				cl.markDown(i)

@@ -7,16 +7,15 @@ package rfsrv_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -25,69 +24,60 @@ import (
 // small enough that modest files cross many boundaries.
 const testStripe = 2 * mem.PageSize
 
-// clusterRig is an S-server, one-client fixture with every server
-// backed by its own memfs and served over MX.
+// clusterRig is an S-server, one-client fixture on the shared topology
+// rig: every server backed by its own memfs and served over MX, one
+// client node with its MX driver.
 type clusterRig struct {
-	env      *sim.Engine
+	*rig.Rig
 	client   *hw.Node
 	clientMX *mx.MX
-	servers  []*hw.Node
-	serverFS []*memfs.FS
-	rsrv     []*rfsrv.Server // handles for SetResyncPeers
 }
 
 func newClusterRig(t *testing.T, nServers int) *clusterRig {
+	return buildClusterRig(t, nServers, 0)
+}
+
+// buildClusterRig builds the fixture: the client node first, then the servers,
+// sharded over owner groups of replicas servers when replicas > 0.
+func buildClusterRig(t *testing.T, nServers, replicas int) *clusterRig {
 	t.Helper()
-	env := sim.NewEngine()
-	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &clusterRig{env: env, client: c.AddNode("client")}
+	r := &clusterRig{Rig: rig.New(nil)}
+	r.client = r.HW.AddNode("client")
 	r.clientMX = mx.Attach(r.client)
-	for i := 0; i < nServers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		srv := rfsrv.NewServer(n, fs)
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		r.servers = append(r.servers, n)
-		r.serverFS = append(r.serverFS, fs)
-		r.rsrv = append(r.rsrv, srv)
+	if err := r.AddServers(nServers, replicas); err != nil {
+		t.Fatal(err)
 	}
 	return r
 }
 
+// run executes body as the test's one proc and fails the test unless
+// it completes and the run ends clean (the rig's end-of-run checks).
 func (r *clusterRig) run(t *testing.T, body func(p *sim.Proc)) {
 	t.Helper()
-	done := false
-	r.env.Spawn("test", func(p *sim.Proc) {
+	r.Go("test", func(p *sim.Proc) error {
 		body(p)
-		done = true
+		return nil
 	})
-	r.env.Run(0)
-	if !done {
-		t.Fatal("test body deadlocked")
+	if err := r.Run(0, 1); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// view builds a client view over every server from the client node.
+func (r *clusterRig) view(t *testing.T, p *sim.Proc, o rig.Opts) *rfsrv.Cluster {
+	t.Helper()
+	cl, err := r.View(p, r.clientMX, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
 }
 
 // cluster builds the striped client: one kernel-side MX session per
 // server on distinct endpoints.
 func (r *clusterRig) cluster(t *testing.T, p *sim.Proc, window, stripe int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(10+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sessions[i], err = rfsrv.NewSession(p, fc, window); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewCluster(p, sessions, stripe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.view(t, p, rig.Opts{Window: window, Stripe: stripe})
 }
 
 // kbuf maps n kernel bytes on the client and returns (va, vector).
@@ -162,7 +152,7 @@ func TestClusterStripeBoundaryReadsWrites(t *testing.T) {
 		pagesPerStripe := testStripe / mem.PageSize
 		for k := 0; k < stripes; k++ {
 			owner := cl.OwnerServer(int64(k) * testStripe)
-			for s, fs := range r.serverFS {
+			for s, fs := range r.FS {
 				frame := fs.FrameAt(ino, int64(k*pagesPerStripe))
 				if s == owner && frame == nil {
 					t.Fatalf("stripe %d missing on its owner (server %d)", k, s)
@@ -174,7 +164,7 @@ func TestClusterStripeBoundaryReadsWrites(t *testing.T) {
 		}
 
 		// Size reconciliation: every server agrees on EOF locally.
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			a, err := fs.Getattr(p, ino)
 			if err != nil || a.Size != int64(len(data)) {
 				t.Fatalf("server %d local size = %d (%v), want %d", s, a.Size, err, len(data))
@@ -292,7 +282,7 @@ func TestClusterOneServerMatchesSession(t *testing.T) {
 		var end sim.Time
 		var sum []byte
 		r.run(t, func(p *sim.Proc) {
-			fc, err := rfsrv.NewMXClient(r.clientMX, 10, true, r.client.Kernel, r.servers[0].ID, 1)
+			fc, err := rfsrv.NewMXClient(r.clientMX, 10, true, r.client.Kernel, r.Nodes[0].ID, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,22 +336,22 @@ func TestClusterMetadataHomeVsDataServer(t *testing.T) {
 		if err != nil || resp.Attr.Size != size {
 			t.Fatalf("homed getattr size = %d (%v), want %d", resp.Attr.Size, err, size)
 		}
-		if a, _ := r.serverFS[home].Getattr(p, ino); a.Size != size {
+		if a, _ := r.FS[home].Getattr(p, ino); a.Size != size {
 			t.Fatalf("home server %d local size = %d, want %d", home, a.Size, size)
 		}
 
 		// Out-of-band append directly on the non-home server: grows that
 		// server's local file but must not change homed metadata.
 		rogue := 1 - home
-		srvNode := r.servers[rogue]
+		srvNode := r.Nodes[rogue]
 		sva, err := srvNode.Kernel.Mmap(testStripe, "oob")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.serverFS[rogue].WriteDirect(p, ino, size, core.Of(core.KernelSeg(srvNode.Kernel, sva, testStripe))); err != nil {
+		if _, err := r.FS[rogue].WriteDirect(p, ino, size, core.Of(core.KernelSeg(srvNode.Kernel, sva, testStripe))); err != nil {
 			t.Fatal(err)
 		}
-		if a, _ := r.serverFS[rogue].Getattr(p, ino); a.Size != size+testStripe {
+		if a, _ := r.FS[rogue].Getattr(p, ino); a.Size != size+testStripe {
 			t.Fatalf("out-of-band append did not take on server %d", rogue)
 		}
 		resp, err = cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
@@ -380,7 +370,7 @@ func TestClusterNamespaceDivergence(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		cl := r.cluster(t, p, 4, testStripe)
 		// Skew server 1: allocate an inode the cluster never saw.
-		if _, err := r.serverFS[1].Create(p, r.serverFS[1].Root(), "skew"); err != nil {
+		if _, err := r.FS[1].Create(p, r.FS[1].Root(), "skew"); err != nil {
 			t.Fatal(err)
 		}
 		_, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: "f"})
@@ -580,7 +570,7 @@ func TestClusterGetattrDoesNotPoisonSizeCache(t *testing.T) {
 		if _, err := cl.Write(p, ino, 2*testStripe, vec); err != nil {
 			t.Fatal(err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			a, err := fs.Getattr(p, ino)
 			if err != nil || a.Size != end {
 				t.Fatalf("server %d local size = %d (%v), want %d", s, a.Size, err, end)
@@ -617,7 +607,7 @@ func TestClusterMetaBatchRepeatedSizeMutations(t *testing.T) {
 		if got := resps[2].Attr.Size; got != testStripe {
 			t.Fatalf("batched getattr after two truncates = %d, want %d", got, testStripe)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != testStripe {
 				t.Fatalf("server %d size = %d after batch, want %d (last mutation wins)", s, a.Size, testStripe)
 			}
@@ -626,7 +616,7 @@ func TestClusterMetaBatchRepeatedSizeMutations(t *testing.T) {
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: ino, Off: 2 * testStripe}); err != nil {
 			t.Fatalf("truncate after batch: %v", err)
 		}
-		for s, fs := range r.serverFS {
+		for s, fs := range r.FS {
 			if a, _ := fs.Getattr(p, ino); a.Size != 2*testStripe {
 				t.Fatalf("server %d size = %d after follow-up truncate, want %d", s, a.Size, 2*testStripe)
 			}

@@ -66,7 +66,7 @@ func TestElasticReplayRetryIdempotent(t *testing.T) {
 		expect := pattern(size)
 		elasticWrite(t, p, r, cl, ino, 0, expect)
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 
 		// Missed work: two namespace mutations and fresh dirty bytes
 		// over the whole file (server 1 replicates stripes 0, 1, 3).
@@ -88,12 +88,12 @@ func TestElasticReplayRetryIdempotent(t *testing.T) {
 		// First replay attempt: the killer proc watches the victim's
 		// backing store and cuts its NIC the moment the replayed mkdir
 		// lands, so the rest of the journal times out mid-replay.
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		stop := false
-		r.env.Spawn("killer", func(kp *sim.Proc) {
+		r.Env.Spawn("killer", func(kp *sim.Proc) {
 			for !stop {
-				if _, err := r.serverFS[1].Lookup(kp, r.serverFS[1].Root(), "d"); err == nil {
-					r.servers[1].NIC.Kill()
+				if _, err := r.FS[1].Lookup(kp, r.FS[1].Root(), "d"); err == nil {
+					r.Nodes[1].NIC.Kill()
 					return
 				}
 				kp.Sleep(2 * time.Microsecond)
@@ -113,7 +113,7 @@ func TestElasticReplayRetryIdempotent(t *testing.T) {
 
 		// Retry: the full journal replays again, including the mkdir
 		// already applied — re-admission must land the same state.
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate retry: %v", err)
 		}
@@ -127,13 +127,13 @@ func TestElasticReplayRetryIdempotent(t *testing.T) {
 			t.Error("retry over an applied prefix did not fall back to serial replay")
 		}
 		for _, name := range []string{"d", "x"} {
-			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
+			if _, err := r.FS[1].Lookup(p, r.FS[1].Root(), name); err != nil {
 				t.Errorf("victim missing replayed entry %q: %v", name, err)
 			}
 		}
 		// Route reads through the victim: with server 0 dark, stripes
 		// 0, 1, 3 are served by server 1 — the replayed bytes.
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Error("read through the re-admitted server returned wrong bytes")
 		}
@@ -155,7 +155,7 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 		ino := clusterCreate(t, p, cl, "f")
 		elasticWrite(t, p, r, cl, ino, 0, pattern(testStripe))
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 
 		expect := make([]byte, size)
 		copy(expect, pattern(testStripe))
@@ -172,7 +172,7 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 			t.Fatalf("journal holds %d dirty bytes; want coalesced to (0, %d] (wrote %d)", jb, size, written)
 		}
 
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate: %v", err)
 		}
@@ -182,7 +182,7 @@ func TestElasticReplayOverlappingExtendingWrites(t *testing.T) {
 		if a, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino}); err != nil || a.Attr.Size != size {
 			t.Fatalf("size = %d err=%v, want %d", a.Attr.Size, err, size)
 		}
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Error("overlapping extending writes replayed wrong bytes")
 		}
@@ -200,7 +200,7 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 	r := newClusterRig(t, 3)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+		if err := cl.SetResyncPeers(r.Servers); err != nil {
 			t.Fatal(err)
 		}
 		cl.SetJournalLimits(1, 0)
@@ -209,7 +209,7 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 		expect := pattern(size)
 		elasticWrite(t, p, r, cl, ino, 0, expect)
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
 				t.Fatalf("mkdir %s: %v", name, err)
@@ -223,7 +223,7 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 			t.Fatal("two mutations under a one-op cap did not spill the journal")
 		}
 
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate via full resync: %v", err)
 		}
@@ -234,11 +234,11 @@ func TestElasticSpillFallsBackToFullResync(t *testing.T) {
 			t.Fatalf("down = %v, want none", down)
 		}
 		for _, name := range []string{"d1", "d2"} {
-			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err != nil {
+			if _, err := r.FS[1].Lookup(p, r.FS[1].Root(), name); err != nil {
 				t.Errorf("victim missing %q after full resync: %v", name, err)
 			}
 		}
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Error("full resync landed wrong bytes")
 		}
@@ -256,13 +256,13 @@ func TestElasticSpillWithoutPeersRefuses(t *testing.T) {
 		cl := r.clusterRep(t, p, 4, testStripe, 2)
 		cl.SetJournalLimits(1, 0)
 		clusterCreate(t, p, cl, "f")
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		for _, name := range []string{"d1", "d2"} {
 			if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: name}); err != nil {
 				t.Fatalf("mkdir %s: %v", name, err)
 			}
 		}
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err == nil {
 			t.Fatal("reinstate of a spilled journal without peers: want refusal")
 		}
@@ -287,7 +287,7 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 		if err := cl.SetMembers(3); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+		if err := cl.SetResyncPeers(r.Servers); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -312,7 +312,7 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 		// put frames on slot 3.
 		pagesPerStripe := testStripe / mem.PageSize
 		for _, k := range []int{2, 3} {
-			if r.serverFS[3].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
+			if r.FS[3].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
 				t.Errorf("joiner holds no frames for stripe %d it now replicates", k)
 			}
 		}
@@ -326,7 +326,7 @@ func TestElasticJoinRetireOnline(t *testing.T) {
 		// The retiree is out of every replica set: reads survive its
 		// death without a single failover or exclusion.
 		before := cl.Failovers.N
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, size); !bytes.Equal(got, expect) {
 			t.Fatal("read after retire returned wrong bytes")
 		}
@@ -351,7 +351,7 @@ func TestElasticJoinKillPointRetries(t *testing.T) {
 		if err := cl.SetMembers(3); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+		if err := cl.SetResyncPeers(r.Servers); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -364,10 +364,10 @@ func TestElasticJoinKillPointRetries(t *testing.T) {
 		// appearing means the Join is past its bulk import and into
 		// stripe migration — cut the NIC there.
 		stop := false
-		r.env.Spawn("killer", func(kp *sim.Proc) {
+		r.Env.Spawn("killer", func(kp *sim.Proc) {
 			for !stop {
-				if _, err := r.serverFS[3].Lookup(kp, r.serverFS[3].Root(), "f"); err == nil {
-					r.servers[3].NIC.Kill()
+				if _, err := r.FS[3].Lookup(kp, r.FS[3].Root(), "f"); err == nil {
+					r.Nodes[3].NIC.Kill()
 					return
 				}
 				kp.Sleep(2 * time.Microsecond)
@@ -387,7 +387,7 @@ func TestElasticJoinKillPointRetries(t *testing.T) {
 		assertWindowsIdle(t, cl)
 		r.checkNoLeaks(t)
 
-		r.servers[3].NIC.Revive()
+		r.Nodes[3].NIC.Revive()
 		for _, s := range cl.DownServers() {
 			if err := cl.Reinstate(p, s); err != nil {
 				t.Fatalf("reinstate slot %d before retry: %v", s, err)
@@ -416,7 +416,7 @@ func TestElasticBounceStopWorldSharded(t *testing.T) {
 	r := newShardRig(t, 4, 2)
 	r.run(t, func(p *sim.Proc) {
 		cl := r.shardClient(t, p, 2)
-		if err := cl.SetResyncPeers(r.rsrv); err != nil {
+		if err := cl.SetResyncPeers(r.Servers); err != nil {
 			t.Fatal(err)
 		}
 		view := cl.ShareView()
@@ -461,15 +461,15 @@ func TestElasticViewlessClientGoesStale(t *testing.T) {
 		if err := op.SetMembers(3); err != nil {
 			t.Fatal(err)
 		}
-		if err := op.SetResyncPeers(r.rsrv); err != nil {
+		if err := op.SetResyncPeers(r.Servers); err != nil {
 			t.Fatal(err)
 		}
 		op.ShareView()
 
 		// A second cluster on the same client node needs its own local
 		// endpoints (clusterRep claims 10+i).
-		sessions := make([]*rfsrv.Session, len(r.servers))
-		for i, srv := range r.servers {
+		sessions := make([]*rfsrv.Session, len(r.Nodes))
+		for i, srv := range r.Nodes {
 			fc, err := rfsrv.NewMXClient(r.clientMX, uint8(20+i), true, r.client.Kernel, srv.ID, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -542,7 +542,7 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 		expect := pattern(size)
 		elasticWrite(t, p, r, cl, ino, 0, expect)
 
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 
 		// Missed work covering every replay verdict class.
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpMkdir, Ino: 0, Name: "d"}); err != nil {
@@ -570,7 +570,7 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 			t.Fatal("no journaled ops for the dark server")
 		}
 
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate: %v", err)
 		}
@@ -584,8 +584,8 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 		// Equivalence oracle: the victim's namespace and attributes
 		// must match server 0, which applied everything live.
 		for _, name := range []string{"f", "d", "y"} {
-			a0, err0 := r.serverFS[0].Lookup(p, r.serverFS[0].Root(), name)
-			a1, err1 := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name)
+			a0, err0 := r.FS[0].Lookup(p, r.FS[0].Root(), name)
+			a1, err1 := r.FS[1].Lookup(p, r.FS[1].Root(), name)
 			if err0 != nil || err1 != nil {
 				t.Fatalf("lookup %q: live server err=%v, victim err=%v", name, err0, err1)
 			}
@@ -594,17 +594,17 @@ func TestElasticReplayBatchedEquivalence(t *testing.T) {
 			}
 		}
 		for _, name := range []string{"gone", "x"} {
-			if _, err := r.serverFS[1].Lookup(p, r.serverFS[1].Root(), name); err == nil {
+			if _, err := r.FS[1].Lookup(p, r.FS[1].Root(), name); err == nil {
 				t.Errorf("victim still resolves %q after the replayed unlink/rename", name)
 			}
 		}
-		if a, err := r.serverFS[1].Getattr(p, ino); err != nil || a.Size != cut {
+		if a, err := r.FS[1].Getattr(p, ino); err != nil || a.Size != cut {
 			t.Errorf("victim size = %d (err=%v), want %d", a.Size, err, cut)
 		}
 
 		// Route reads through the victim: with server 0 dark its
 		// replica stripes serve the replayed bytes.
-		r.servers[0].NIC.Kill()
+		r.Nodes[0].NIC.Kill()
 		if got := elasticReadBack(t, p, r, cl, ino, cut); !bytes.Equal(got, expect) {
 			t.Error("read through the re-admitted server returned wrong bytes")
 		}

@@ -92,9 +92,9 @@ func TestClusterWholePromotedMidWrite(t *testing.T) {
 		// Every byte of the whole-phase file lives on the home server and
 		// nowhere else.
 		headPages := head / mem.PageSize
-		for s := range r.servers {
+		for s := range r.Nodes {
 			for pg := 0; pg < headPages; pg++ {
-				have := r.serverFS[s].FrameAt(ino, int64(pg)) != nil
+				have := r.FS[s].FrameAt(ino, int64(pg)) != nil
 				if want := s == home; have != want {
 					t.Fatalf("whole phase: server %d page %d present=%v, want %v (home %d)",
 						s, pg, have, want, home)
@@ -127,7 +127,7 @@ func TestClusterWholePromotedMidWrite(t *testing.T) {
 		pagesPerStripe := testStripe / mem.PageSize
 		for k := 0; k*testStripe < len(data); k++ {
 			owner := cl.OwnerServer(int64(k) * testStripe)
-			if r.serverFS[owner].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
+			if r.FS[owner].FrameAt(ino, int64(k*pagesPerStripe)) == nil {
 				t.Fatalf("stripe %d missing on its standard owner (server %d) after promotion", k, owner)
 			}
 		}
@@ -188,12 +188,12 @@ func TestClusterWideEOFAtStripeBoundary(t *testing.T) {
 
 			// Placement: stripe 0 belongs to server 0, stripe 1 (only the
 			// "plus" file reaches it) to server 1.
-			if r.serverFS[0].FrameAt(ino, 0) == nil {
+			if r.FS[0].FrameAt(ino, 0) == nil {
 				t.Fatalf("%s: wide stripe 0 missing on server 0", name)
 			}
 			pagesPerWide := int64(wide / mem.PageSize)
 			wantSecond := size > wide
-			if have := r.serverFS[1].FrameAt(ino, pagesPerWide) != nil; have != wantSecond {
+			if have := r.FS[1].FrameAt(ino, pagesPerWide) != nil; have != wantSecond {
 				t.Fatalf("%s: wide stripe 1 present on server 1 = %v, want %v", name, have, wantSecond)
 			}
 		}
@@ -223,17 +223,17 @@ func TestClusterWholeReplicatedFailover(t *testing.T) {
 		writeAt(t, p, r, cl, ino, 0, data)
 
 		// Replicas land on home and the cyclically next server only.
-		replica := (home + 1) % len(r.servers)
-		for s := range r.servers {
+		replica := (home + 1) % len(r.Nodes)
+		for s := range r.Nodes {
 			for pg := 0; pg < size/mem.PageSize; pg++ {
-				have := r.serverFS[s].FrameAt(ino, int64(pg)) != nil
+				have := r.FS[s].FrameAt(ino, int64(pg)) != nil
 				if want := s == home || s == replica; have != want {
 					t.Fatalf("server %d page %d present=%v, want %v (home %d)", s, pg, have, want, home)
 				}
 			}
 		}
 
-		r.servers[home].NIC.Kill()
+		r.Nodes[home].NIC.Kill()
 		got, n := readBack(t, p, r, cl, ino, 0, size)
 		if n != size || !bytes.Equal(got, data) {
 			t.Fatalf("failover read n=%d, contents match=%v", n, bytes.Equal(got, data))

@@ -24,8 +24,8 @@ import (
 
 const us = time.Microsecond
 
-// rig is a two-node client/server fixture with both transports served.
-type rig struct {
+// pairRig is a two-node client/server fixture with both transports served.
+type pairRig struct {
 	env            *sim.Engine
 	params         *hw.Params
 	client, server *hw.Node
@@ -35,12 +35,12 @@ type rig struct {
 	mxC            *mx.MX
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *pairRig {
 	t.Helper()
 	env := sim.NewEngine()
 	params := hw.DefaultParams()
 	c := hw.NewCluster(env, params, hw.PCIXD)
-	r := &rig{env: env, params: params}
+	r := &pairRig{env: env, params: params}
 	r.client, r.server = c.AddNode("client"), c.AddNode("server")
 	r.gmC = gm.Attach(r.client)
 	r.mxC = mx.Attach(r.client)
@@ -58,7 +58,7 @@ func newRig(t *testing.T) *rig {
 }
 
 // run executes body in a proc and fails the test on deadlock.
-func (r *rig) run(t *testing.T, body func(p *sim.Proc)) {
+func (r *pairRig) run(t *testing.T, body func(p *sim.Proc)) {
 	t.Helper()
 	done := false
 	r.env.Spawn("test", func(p *sim.Proc) {
@@ -72,7 +72,7 @@ func (r *rig) run(t *testing.T, body func(p *sim.Proc)) {
 }
 
 // mxKernelClient builds an ORFS-style transport.
-func (r *rig) mxKernelClient(t *testing.T) *rfsrv.MXClient {
+func (r *pairRig) mxKernelClient(t *testing.T) *rfsrv.MXClient {
 	t.Helper()
 	cl, err := rfsrv.NewMXClient(r.mxC, 2, true, r.client.Kernel, r.server.ID, 1)
 	if err != nil {
@@ -81,7 +81,7 @@ func (r *rig) mxKernelClient(t *testing.T) *rfsrv.MXClient {
 	return cl
 }
 
-func (r *rig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.GMClient {
+func (r *pairRig) gmKernelClient(t *testing.T, p *sim.Proc, cachePages int) *rfsrv.GMClient {
 	t.Helper()
 	cl, err := rfsrv.NewGMClient(p, r.gmC, 2, true, r.client.Kernel, r.server.ID, 1, cachePages)
 	if err != nil {
@@ -99,7 +99,7 @@ func pattern(n int) []byte {
 }
 
 // seed creates a file directly in the server's backing store.
-func (r *rig) seed(t *testing.T, p *sim.Proc, name string, data []byte) kernel.InodeID {
+func (r *pairRig) seed(t *testing.T, p *sim.Proc, name string, data []byte) kernel.InodeID {
 	t.Helper()
 	attr, err := r.serverFS.Create(p, r.serverFS.Root(), name)
 	if err != nil {
@@ -624,11 +624,11 @@ func TestORFSMatchesLocalReferenceProperty(t *testing.T) {
 }
 
 // newRigQuiet builds the fixture without a *testing.T (for quick.Check).
-func newRigQuiet() *rig {
+func newRigQuiet() *pairRig {
 	env := sim.NewEngine()
 	params := hw.DefaultParams()
 	c := hw.NewCluster(env, params, hw.PCIXD)
-	r := &rig{env: env, params: params}
+	r := &pairRig{env: env, params: params}
 	r.client, r.server = c.AddNode("client"), c.AddNode("server")
 	r.gmC = gm.Attach(r.client)
 	r.mxC = mx.Attach(r.client)

@@ -18,7 +18,7 @@ import (
 
 // sessionOver builds a windowed session over a fresh kernel-side
 // client of the given transport.
-func (r *rig) sessionOver(t *testing.T, p *sim.Proc, transport string, ep uint8, window int) *rfsrv.Session {
+func (r *pairRig) sessionOver(t *testing.T, p *sim.Proc, transport string, ep uint8, window int) *rfsrv.Session {
 	t.Helper()
 	var fc *rfsrv.FabricClient
 	var err error

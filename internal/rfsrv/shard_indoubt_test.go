@@ -19,6 +19,7 @@ import (
 	knapi "repro"
 	"repro/internal/kernel"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -28,22 +29,7 @@ import (
 // application node.
 func (r *clusterRig) observerRep(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	sessions := make([]*rfsrv.Session, len(r.servers))
-	for i, srv := range r.servers {
-		fc, err := rfsrv.NewMXClient(r.clientMX, uint8(30+i), true, r.client.Kernel, srv.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.SetRequestTimeout(faultTimeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, testStripe, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.view(t, p, observerOpts(replicas))
 }
 
 // shardObserver is observerRep with the sharded namespace enabled: the
@@ -51,11 +37,13 @@ func (r *clusterRig) observerRep(t *testing.T, p *sim.Proc, replicas int) *rfsrv
 // issue.
 func (r *clusterRig) shardObserver(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	cl := r.observerRep(t, p, replicas)
-	if err := cl.EnableShardedNamespace(); err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	o := observerOpts(replicas)
+	o.Sharded = true
+	return r.view(t, p, o)
+}
+
+func observerOpts(replicas int) rig.Opts {
+	return rig.Opts{Window: 4, Stripe: testStripe, Replicas: replicas, Timeout: faultTimeout, EP: 30}
 }
 
 // TestShardRenameInDoubtAbortFaultStateA drives the FIRST in-doubt
@@ -86,12 +74,12 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 		// by the faultTimeout=2ms deadline. The source members die at
 		// 1.5ms — after the (healthy, sub-millisecond) prepare round
 		// trip, before the abort the commit timeout triggers.
-		r.servers[3].NIC.StallFor(10 * time.Millisecond)
-		r.servers[0].NIC.StallFor(10 * time.Millisecond)
-		r.servers[3].NIC.KillAfter(1 * time.Millisecond)
-		r.servers[0].NIC.KillAfter(1 * time.Millisecond)
-		r.servers[1].NIC.KillAfter(1500 * time.Microsecond)
-		r.servers[2].NIC.KillAfter(1500 * time.Microsecond)
+		r.Nodes[3].NIC.StallFor(10 * time.Millisecond)
+		r.Nodes[0].NIC.StallFor(10 * time.Millisecond)
+		r.Nodes[3].NIC.KillAfter(1 * time.Millisecond)
+		r.Nodes[0].NIC.KillAfter(1 * time.Millisecond)
+		r.Nodes[1].NIC.KillAfter(1500 * time.Microsecond)
+		r.Nodes[2].NIC.KillAfter(1500 * time.Microsecond)
 		_, rerr := cl.Rename(p, src, "f", dst, "g")
 		if !errors.Is(rerr, rfsrv.ErrRenameInDoubt) {
 			t.Fatalf("rename = %v, want ErrRenameInDoubt", rerr)
@@ -104,12 +92,12 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 		// the source members keep the (marked) entry and the
 		// destination members have nothing.
 		for _, i := range []int{1, 2} {
-			if a, err := r.serverFS[i].Lookup(p, src, "f"); err != nil || a.Ino != fino {
+			if a, err := r.FS[i].Lookup(p, src, "f"); err != nil || a.Ino != fino {
 				t.Fatalf("state A: source member %d entry = %+v, %v; want ino %d", i, a, err, fino)
 			}
 		}
 		for _, i := range []int{3, 0} {
-			if _, err := r.serverFS[i].Lookup(p, dst, "g"); !errors.Is(err, kernel.ErrNotFound) {
+			if _, err := r.FS[i].Lookup(p, dst, "g"); !errors.Is(err, kernel.ErrNotFound) {
 				t.Fatalf("state A: destination member %d holds the link (err=%v), want absent", i, err)
 			}
 		}
@@ -117,11 +105,11 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 		// No slice mutated (prepare marks bump nothing), so every
 		// server — including the two that missed the abort — readmits
 		// without a resync.
-		for _, n := range r.servers {
+		for _, n := range r.Nodes {
 			n.NIC.Revive()
 		}
 		p.Sleep(2 * faultTimeout)
-		for i := range r.servers {
+		for i := range r.Nodes {
 			if err := cl.Reinstate(p, i); err != nil {
 				t.Fatalf("reinstate server %d after state-A in-doubt: %v", i, err)
 			}
@@ -137,12 +125,12 @@ func TestShardRenameInDoubtAbortFaultStateA(t *testing.T) {
 			t.Fatalf("re-driven rename: %v", err)
 		}
 		for _, i := range []int{1, 2} {
-			if _, err := r.serverFS[i].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
+			if _, err := r.FS[i].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
 				t.Fatalf("source member %d kept the entry after the re-drive (err=%v)", i, err)
 			}
 		}
 		for _, i := range []int{3, 0} {
-			if a, err := r.serverFS[i].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
+			if a, err := r.FS[i].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
 				t.Fatalf("destination member %d entry = %+v, %v; want ino %d", i, a, err, fino)
 			}
 		}
@@ -173,10 +161,10 @@ func TestShardRenameInDoubtFinalizeFaultStateB(t *testing.T) {
 		// Stall the destination group so the commit lands around 1ms —
 		// after both source members die at 500µs (the prepare, at
 		// healthy round-trip speed, is long done by then).
-		r.servers[3].NIC.StallFor(1 * time.Millisecond)
-		r.servers[0].NIC.StallFor(1 * time.Millisecond)
-		r.servers[1].NIC.KillAfter(500 * time.Microsecond)
-		r.servers[2].NIC.KillAfter(500 * time.Microsecond)
+		r.Nodes[3].NIC.StallFor(1 * time.Millisecond)
+		r.Nodes[0].NIC.StallFor(1 * time.Millisecond)
+		r.Nodes[1].NIC.KillAfter(500 * time.Microsecond)
+		r.Nodes[2].NIC.KillAfter(500 * time.Microsecond)
 		_, rerr := cl.Rename(p, src, "f", dst, "g")
 		if !errors.Is(rerr, rfsrv.ErrRenameInDoubt) {
 			t.Fatalf("rename = %v, want ErrRenameInDoubt", rerr)
@@ -186,12 +174,12 @@ func TestShardRenameInDoubtFinalizeFaultStateB(t *testing.T) {
 		// both source members still hold the entry the finalize never
 		// detached.
 		for _, i := range []int{3, 0} {
-			if a, err := r.serverFS[i].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
+			if a, err := r.FS[i].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
 				t.Fatalf("state B: destination member %d entry = %+v, %v; want ino %d", i, a, err, fino)
 			}
 		}
 		for _, i := range []int{1, 2} {
-			if a, err := r.serverFS[i].Lookup(p, src, "f"); err != nil || a.Ino != fino {
+			if a, err := r.FS[i].Lookup(p, src, "f"); err != nil || a.Ino != fino {
 				t.Fatalf("state B: source member %d lost its lagging entry (%+v, %v)", i, a, err)
 			}
 		}
@@ -199,8 +187,8 @@ func TestShardRenameInDoubtFinalizeFaultStateB(t *testing.T) {
 		// Both source members missed the finalize of a committed rename,
 		// and the issuing client journaled it for each: readmission
 		// replays the cleanup instead of refusing.
-		r.servers[1].NIC.Revive()
-		r.servers[2].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
+		r.Nodes[2].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		for _, i := range []int{1, 2} {
 			if err := cl.Reinstate(p, i); err != nil {
@@ -214,7 +202,7 @@ func TestShardRenameInDoubtFinalizeFaultStateB(t *testing.T) {
 			t.Fatalf("ResyncOps = %d, want 2 (one finalize per lagging member)", cl.ResyncOps.N)
 		}
 		for _, i := range []int{1, 2} {
-			if _, err := r.serverFS[i].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
+			if _, err := r.FS[i].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
 				t.Fatalf("source member %d kept the entry after the replayed finalize (err=%v)", i, err)
 			}
 		}
@@ -254,12 +242,12 @@ func TestShardRenameInDoubtReaddirWalk(t *testing.T) {
 
 		// Commit applies (~1ms, behind the destination stall), source
 		// owner dies at 500µs: finalize faults, state B, in doubt.
-		r.servers[2].NIC.StallFor(1 * time.Millisecond)
-		r.servers[1].NIC.KillAfter(500 * time.Microsecond)
+		r.Nodes[2].NIC.StallFor(1 * time.Millisecond)
+		r.Nodes[1].NIC.KillAfter(500 * time.Microsecond)
 		if _, rerr := cl.Rename(p, src, "f", dst, "g"); !errors.Is(rerr, rfsrv.ErrRenameInDoubt) {
 			t.Fatalf("rename = %v, want ErrRenameInDoubt", rerr)
 		}
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 
 		// A fresh observer walks the transient: the file answers under

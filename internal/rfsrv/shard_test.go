@@ -16,11 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/memfs"
-	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -28,38 +26,14 @@ import (
 // namespace partition: collision-free inode minting plus the server
 // half of sharding (ownership checks, rename marks, materialize).
 func newShardRig(t *testing.T, nServers, replicas int) *clusterRig {
-	t.Helper()
-	env := sim.NewEngine()
-	c := hw.NewCluster(env, hw.DefaultParams(), hw.PCIXD)
-	r := &clusterRig{env: env, client: c.AddNode("client")}
-	r.clientMX = mx.Attach(r.client)
-	for i := 0; i < nServers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		fs.SetInodePartition(i, nServers)
-		srv := rfsrv.NewServer(n, fs)
-		if err := srv.EnableSharding(i, nServers, replicas); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			t.Fatal(err)
-		}
-		r.servers = append(r.servers, n)
-		r.serverFS = append(r.serverFS, fs)
-		r.rsrv = append(r.rsrv, srv)
-	}
-	return r
+	return buildClusterRig(t, nServers, replicas)
 }
 
 // shardClient builds the sharded client over the rig: replicated
 // sessions with the fault timeout armed, ownership routing enabled.
 func (r *clusterRig) shardClient(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	cl := r.clusterRep(t, p, 4, testStripe, replicas)
-	if err := cl.EnableShardedNamespace(); err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return r.view(t, p, rig.Opts{Window: 4, Stripe: testStripe, Replicas: replicas, Timeout: faultTimeout, Sharded: true})
 }
 
 // mkdirRes creates directories under the root until one lands on the
@@ -101,8 +75,8 @@ func TestShardRenameDestKillPreCommit(t *testing.T) {
 		// the source owner, unstalled) but before the commit can reach
 		// it: its NIC is stalled so the commit frame is still queued
 		// when the kill lands.
-		r.servers[2].NIC.StallFor(400 * time.Microsecond)
-		r.servers[2].NIC.KillAfter(200 * time.Microsecond)
+		r.Nodes[2].NIC.StallFor(400 * time.Microsecond)
+		r.Nodes[2].NIC.KillAfter(200 * time.Microsecond)
 		_, rerr := cl.Rename(p, src, "f", dst, "g")
 		if rerr == nil {
 			t.Fatal("rename across a dead destination owner succeeded")
@@ -112,10 +86,10 @@ func TestShardRenameDestKillPreCommit(t *testing.T) {
 		}
 
 		// State A: source entry intact, destination untouched.
-		if a, err := r.serverFS[1].Lookup(p, src, "f"); err != nil || a.Ino != fino {
+		if a, err := r.FS[1].Lookup(p, src, "f"); err != nil || a.Ino != fino {
 			t.Fatalf("state A: source entry = %+v, %v; want ino %d", a, err, fino)
 		}
-		if _, err := r.serverFS[2].Lookup(p, dst, "g"); !errors.Is(err, kernel.ErrNotFound) {
+		if _, err := r.FS[2].Lookup(p, dst, "g"); !errors.Is(err, kernel.ErrNotFound) {
 			t.Fatalf("state A: destination entry exists (err=%v), want absent", err)
 		}
 		if down := cl.DownServers(); len(down) != 1 || down[0] != 2 {
@@ -124,7 +98,7 @@ func TestShardRenameDestKillPreCommit(t *testing.T) {
 
 		// The destination's slice never mutated, so it reinstates
 		// cleanly — and the re-driven rename completes.
-		r.servers[2].NIC.Revive()
+		r.Nodes[2].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 2); err != nil {
 			t.Fatalf("reinstate unmutated destination owner: %v", err)
@@ -132,10 +106,10 @@ func TestShardRenameDestKillPreCommit(t *testing.T) {
 		if _, err := cl.Rename(p, src, "f", dst, "g"); err != nil {
 			t.Fatalf("re-driven rename: %v", err)
 		}
-		if _, err := r.serverFS[1].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
+		if _, err := r.FS[1].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
 			t.Fatalf("source entry survived the re-driven rename (err=%v)", err)
 		}
-		if a, err := r.serverFS[2].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
+		if a, err := r.FS[2].Lookup(p, dst, "g"); err != nil || a.Ino != fino {
 			t.Fatalf("destination entry = %+v, %v; want ino %d", a, err, fino)
 		}
 		assertWindowsIdle(t, cl)
@@ -167,8 +141,8 @@ func TestShardRenameSourceKillInDoubt(t *testing.T) {
 		// Stall the destination so the commit completes around 1ms —
 		// after the source owner dies at 500µs (prepare, at healthy
 		// round-trip speed, is long done by then).
-		r.servers[2].NIC.StallFor(1 * time.Millisecond)
-		r.servers[1].NIC.KillAfter(500 * time.Microsecond)
+		r.Nodes[2].NIC.StallFor(1 * time.Millisecond)
+		r.Nodes[1].NIC.KillAfter(500 * time.Microsecond)
 		_, rerr := cl.Rename(p, src, "f", dst, "g")
 		if !errors.Is(rerr, rfsrv.ErrRenameInDoubt) {
 			t.Fatalf("rename = %v, want ErrRenameInDoubt", rerr)
@@ -184,8 +158,8 @@ func TestShardRenameSourceKillInDoubt(t *testing.T) {
 		// Exactly one of two legal states — and since the commit went
 		// through, it must be state B: destination linked, the dead
 		// source still holding the entry its finalize never detached.
-		_, srcErr := r.serverFS[1].Lookup(p, src, "f")
-		dstA, dstErr := r.serverFS[2].Lookup(p, dst, "g")
+		_, srcErr := r.FS[1].Lookup(p, src, "f")
+		dstA, dstErr := r.FS[2].Lookup(p, dst, "g")
 		if srcErr != nil && dstErr != nil {
 			t.Fatal("rename left the file linked nowhere — an illegal third state")
 		}
@@ -199,7 +173,7 @@ func TestShardRenameSourceKillInDoubt(t *testing.T) {
 		// The source missed the finalize, but the client journaled it:
 		// readmission replays the cleanup instead of refusing, and the
 		// lagging entry detaches.
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate of the lagging source (journaled finalize): %v", err)
@@ -207,7 +181,7 @@ func TestShardRenameSourceKillInDoubt(t *testing.T) {
 		if cl.ResyncOps.N == 0 {
 			t.Fatal("reinstate replayed nothing; the missed finalize should be journaled")
 		}
-		if _, err := r.serverFS[1].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
+		if _, err := r.FS[1].Lookup(p, src, "f"); !errors.Is(err, kernel.ErrNotFound) {
 			t.Fatalf("source entry survived the replayed finalize (err=%v)", err)
 		}
 		if len(cl.DownServers()) != 0 {
@@ -248,11 +222,11 @@ func TestShardOwnerFailoverToReplica(t *testing.T) {
 		}
 		// Ownership replication: the second group member must already
 		// hold the dentries.
-		if _, err := r.serverFS[replica].Lookup(p, dir, "a"); err != nil {
+		if _, err := r.FS[replica].Lookup(p, dir, "a"); err != nil {
 			t.Fatalf("replica member missing dentry before the kill: %v", err)
 		}
 
-		r.servers[res].NIC.Kill()
+		r.Nodes[res].NIC.Kill()
 
 		// Read failover: getattr and readdir route to the replica.
 		if resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: dir}); err != nil || resp.Attr.Ino != dir {
@@ -316,7 +290,7 @@ func TestShardReinstateScopedToOwnedSlice(t *testing.T) {
 
 		// Round 1: exclude server 1 (observed by a read routed to it —
 		// reads bump nothing), churn only the foreign slice, reinstate.
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: owned}); err != nil {
 			t.Fatalf("getattr observing the kill: %v", err)
 		}
@@ -324,7 +298,7 @@ func TestShardReinstateScopedToOwnedSlice(t *testing.T) {
 			t.Fatalf("down servers = %v, want [1]", down)
 		}
 		churn(foreign, "x")
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate after foreign-slice churn: %v", err)
@@ -336,12 +310,12 @@ func TestShardReinstateScopedToOwnedSlice(t *testing.T) {
 		// Round 2: same exclusion, but the churn lands on a directory
 		// server 1 co-owns — its slice mutated behind its back, so the
 		// readmission replays the journaled churn before re-admitting.
-		r.servers[1].NIC.Kill()
+		r.Nodes[1].NIC.Kill()
 		if _, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: owned}); err != nil {
 			t.Fatalf("getattr observing the second kill: %v", err)
 		}
 		churn(owned, "y")
-		r.servers[1].NIC.Revive()
+		r.Nodes[1].NIC.Revive()
 		p.Sleep(2 * faultTimeout)
 		if err := cl.Reinstate(p, 1); err != nil {
 			t.Fatalf("reinstate after owned-slice churn (journaled): %v", err)
@@ -352,7 +326,7 @@ func TestShardReinstateScopedToOwnedSlice(t *testing.T) {
 		// The replay converged server 1's slice: the churn's entries came
 		// and went, so nothing y-named survives anywhere.
 		for k := 0; k < 3; k++ {
-			if _, err := r.serverFS[1].Lookup(p, owned, fmt.Sprintf("y%d", k)); !errors.Is(err, kernel.ErrNotFound) {
+			if _, err := r.FS[1].Lookup(p, owned, fmt.Sprintf("y%d", k)); !errors.Is(err, kernel.ErrNotFound) {
 				t.Fatalf("replayed churn left y%d on server 1 (err=%v)", k, err)
 			}
 		}
@@ -391,7 +365,7 @@ func TestShardBatchedPublishFlush(t *testing.T) {
 		if cl.SetSizes.N != 0 {
 			t.Fatalf("%d OpSetSize RPCs before the batch filled, want 0", cl.SetSizes.N)
 		}
-		if a, err := r.serverFS[0].Getattr(p, ino); err != nil || a.Size >= 3*int64(testStripe) {
+		if a, err := r.FS[0].Getattr(p, ino); err != nil || a.Size >= 3*int64(testStripe) {
 			t.Fatalf("server 0 size = %d, %v; want a lagging local size", a.Size, err)
 		}
 		if err := cl.FlushSizes(p); err != nil {
@@ -400,7 +374,7 @@ func TestShardBatchedPublishFlush(t *testing.T) {
 		if cl.SetSizes.N == 0 {
 			t.Fatal("flush issued no publishes")
 		}
-		for i, fs := range r.serverFS {
+		for i, fs := range r.FS {
 			if a, err := fs.Getattr(p, ino); err != nil || a.Size != 3*int64(testStripe) {
 				t.Fatalf("server %d size after flush = %d, %v; want %d", i, a.Size, err, 3*testStripe)
 			}
@@ -408,13 +382,13 @@ func TestShardBatchedPublishFlush(t *testing.T) {
 
 		// A flush across a kill: the dead server is excluded, the
 		// survivors still converge.
-		r.servers[2].NIC.Kill()
+		r.Nodes[2].NIC.Kill()
 		writeStripe(3) // stripe 3 lands on server 0
 		if err := cl.FlushSizes(p); err != nil {
 			t.Fatalf("flush across the kill: %v", err)
 		}
 		for i := 0; i < 2; i++ {
-			if a, err := r.serverFS[i].Getattr(p, ino); err != nil || a.Size != 4*int64(testStripe) {
+			if a, err := r.FS[i].Getattr(p, ino); err != nil || a.Size != 4*int64(testStripe) {
 				t.Fatalf("server %d size after degraded flush = %d, %v; want %d", i, a.Size, err, 4*testStripe)
 			}
 		}

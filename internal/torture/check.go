@@ -118,7 +118,7 @@ func (c *tClient) endData(p *sim.Proc) {
 func (c *tClient) endNS(p *sim.Proc) {
 	st := c.st
 	if len(c.inDoubt) > 0 {
-		obs, err := c.buildCluster(p, 60)
+		obs, err := st.view(p, c.mx, 60)
 		if err != nil {
 			st.failf(-1, -1, "", "c%d: observer cluster: %v", c.idx, err)
 			return
@@ -168,7 +168,7 @@ func (c *tClient) redrive(p *sim.Proc, obs *rfsrv.Cluster, idr *inDoubtRename) {
 	var dstLag uint64
 	dstHolders := 0
 	for _, m := range st.groupOf(idr.dst.res) {
-		a, err := st.serverFS[m].Lookup(p, idr.dst.ino, idr.dstName)
+		a, err := st.rig.FS[m].Lookup(p, idr.dst.ino, idr.dstName)
 		switch {
 		case err == nil && a.Ino == idr.ino:
 			dstHolders++
@@ -200,7 +200,7 @@ func (c *tClient) redrive(p *sim.Proc, obs *rfsrv.Cluster, idr *inDoubtRename) {
 	// abort never detach), under its pre-rename lag.
 	srcHolders := 0
 	for _, m := range st.groupOf(idr.src.res) {
-		a, err := st.serverFS[m].Lookup(p, idr.src.ino, idr.srcName)
+		a, err := st.rig.FS[m].Lookup(p, idr.src.ino, idr.srcName)
 		switch {
 		case err == nil && a.Ino == idr.ino:
 			srcHolders++
@@ -239,7 +239,7 @@ func (c *tClient) memberChecks(p *sim.Proc) {
 					c.staleSkips++
 					continue
 				}
-				a, err := st.serverFS[m].Lookup(p, d.ino, name)
+				a, err := st.rig.FS[m].Lookup(p, d.ino, name)
 				switch e.state {
 				case stPresent:
 					if err != nil {

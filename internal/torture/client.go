@@ -22,6 +22,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -91,42 +92,20 @@ func (c *tClient) run(p *sim.Proc) {
 	st.endDone++
 }
 
-// buildCluster assembles a sharded replicated cluster view over the
-// rig's servers from this client's node, sessions on endpoints
-// epBase+i.
-func (c *tClient) buildCluster(p *sim.Proc, epBase int) (*rfsrv.Cluster, error) {
-	cfg := c.st.cfg
-	sessions := make([]*rfsrv.Session, len(c.st.serverNodes))
-	for i, srv := range c.st.serverNodes {
-		fc, err := rfsrv.NewMXClient(c.mx, uint8(epBase+i), true, c.node.Kernel, srv.ID, 1)
-		if err != nil {
-			return nil, err
-		}
-		fc.SetRequestTimeout(cfg.Timeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, cfg.Window); err != nil {
-			return nil, err
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, cfg.Stripe, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.EnableShardedNamespace(); err != nil {
-		return nil, err
-	}
-	// Peers let a spilled resync journal fall back to full-slice resync
-	// instead of refusing the reinstate outright.
-	if err := cl.SetResyncPeers(c.st.servers); err != nil {
-		return nil, err
-	}
-	// Under Config.Elastic every view (including the end-of-run
-	// observer's) follows the operator's membership epochs; a viewless
-	// cluster would refuse operations the moment a reply stamped an
-	// epoch a bounce advanced.
-	if c.st.memberView != nil {
-		cl.AttachView(c.st.memberView)
-	}
-	return cl, nil
+// view builds a sharded replicated cluster view over the rig's servers
+// through m, sessions on endpoints ep+i. Resync peers let a spilled
+// journal fall back to full-slice resync instead of refusing the
+// reinstate outright. Under Config.Elastic every view after the
+// operator's (including the end-of-run observer's) follows the
+// operator's membership epochs; a viewless cluster would refuse
+// operations the moment a reply stamped an epoch a bounce advanced.
+func (st *runState) view(p *sim.Proc, m *mx.MX, ep int) (*rfsrv.Cluster, error) {
+	cfg := st.cfg
+	return st.rig.View(p, m, rig.Opts{
+		Window: cfg.Window, Stripe: cfg.Stripe, Replicas: cfg.Replicas,
+		Sharded: true, Timeout: cfg.Timeout, Resync: true,
+		View: st.memberView, EP: ep,
+	})
 }
 
 func (c *tClient) setup(p *sim.Proc) bool {
@@ -138,7 +117,7 @@ func (c *tClient) setup(p *sim.Proc) bool {
 		return false
 	}
 	var err error
-	if c.cl, err = c.buildCluster(p, 10); err != nil {
+	if c.cl, err = st.view(p, c.mx, 10); err != nil {
 		st.failf(-1, -1, "", "c%d: cluster setup: %v", c.idx, err)
 		return false
 	}

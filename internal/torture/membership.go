@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/mx"
-	"repro/internal/rfsrv"
 	"repro/internal/sim"
 )
 
@@ -65,27 +64,8 @@ func (st *runState) membership(p *sim.Proc) {
 // buildOperator assembles the operator's cluster view on its own node
 // and publishes the shared membership view.
 func (st *runState) buildOperator(p *sim.Proc) error {
-	cfg := st.cfg
-	m := mx.Attach(st.opNode)
-	sessions := make([]*rfsrv.Session, len(st.serverNodes))
-	for i, srv := range st.serverNodes {
-		fc, err := rfsrv.NewMXClient(m, uint8(10+i), true, st.opNode.Kernel, srv.ID, 1)
-		if err != nil {
-			return err
-		}
-		fc.SetRequestTimeout(cfg.Timeout)
-		if sessions[i], err = rfsrv.NewSession(p, fc, cfg.Window); err != nil {
-			return err
-		}
-	}
-	cl, err := rfsrv.NewReplicatedCluster(p, sessions, cfg.Stripe, cfg.Replicas)
+	cl, err := st.view(p, mx.Attach(st.opNode), 10)
 	if err != nil {
-		return err
-	}
-	if err := cl.EnableShardedNamespace(); err != nil {
-		return err
-	}
-	if err := cl.SetResyncPeers(st.servers); err != nil {
 		return err
 	}
 	st.operator = cl

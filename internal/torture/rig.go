@@ -18,6 +18,7 @@ import (
 	"repro/internal/memfs"
 	"repro/internal/mx"
 	"repro/internal/rfsrv"
+	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
@@ -41,14 +42,10 @@ type faultEvent struct {
 
 type runState struct {
 	cfg Config
-	env *sim.Engine
+	rig *rig.Rig // engine, servers, views and run harness
 
-	serverNodes []*hw.Node
-	serverFS    []*memfs.FS
-	servers     []*rfsrv.Server
-	clientNodes []*hw.Node
-	oracleNode  *hw.Node
-	oracle      *memfs.FS
+	oracleNode *hw.Node
+	oracle     *memfs.FS
 
 	clients []*tClient
 	shared  []*sharedFile
@@ -70,7 +67,6 @@ type runState struct {
 	stormLive  int  // clients still inside their op storm
 	reviveDone bool // all NICs revived and settled; end checks may run
 	endDone    int  // clients that finished their end checks
-	finished   bool
 
 	// nicDown mirrors each server NIC's dead-or-stalled state for the
 	// clients' reinstate decisions (hw exposes Dead() but not stalls).
@@ -111,26 +107,14 @@ func newRunState(cfg Config) (*runState, error) {
 	}
 	st := &runState{
 		cfg:       cfg,
-		env:       sim.NewEngine(),
+		rig:       rig.New(nil),
 		oracleIno: make(map[int]kernel.InodeID),
 		nicDown:   make([]bool, cfg.Servers),
 	}
-	c := hw.NewCluster(st.env, hw.DefaultParams(), hw.PCIXD)
-	for i := 0; i < cfg.Servers; i++ {
-		n := c.AddNode(fmt.Sprintf("server%d", i))
-		fs := memfs.New(fmt.Sprintf("backing%d", i), n, 0)
-		fs.SetInodePartition(i, cfg.Servers)
-		srv := rfsrv.NewServer(n, fs)
-		if err := srv.EnableSharding(i, cfg.Servers, cfg.Replicas); err != nil {
-			return nil, err
-		}
-		if _, err := srv.ServeMX(mx.Attach(n), 1, 4); err != nil {
-			return nil, err
-		}
-		st.serverNodes = append(st.serverNodes, n)
-		st.serverFS = append(st.serverFS, fs)
-		st.servers = append(st.servers, srv)
+	if err := st.rig.AddServers(cfg.Servers, cfg.Replicas); err != nil {
+		return nil, err
 	}
+	c := st.rig.HW
 	if cfg.Elastic {
 		st.opNode = c.AddNode("operator")
 	}
@@ -175,7 +159,7 @@ func (st *runState) handle() int {
 	return h
 }
 
-func (st *runState) now() sim.Time { return st.env.Now() }
+func (st *runState) now() sim.Time { return st.rig.Env.Now() }
 
 func (st *runState) logf(format string, args ...any) {
 	if st.cfg.Logf != nil {
@@ -202,21 +186,22 @@ func (st *runState) failf(file, dir int, name, format string, args ...any) {
 func (st *runState) failed() bool { return st.fail != nil }
 
 // run executes the whole phase machine and blocks until the
-// simulation drains.
+// simulation drains, then holds the run to the rig's clean-ending
+// checks.
 func (st *runState) run() (*Result, error) {
-	var masterErr error
-	st.env.Spawn("torture-master", func(p *sim.Proc) {
-		masterErr = st.master(p)
+	st.rig.Go("torture-master", func(p *sim.Proc) error {
+		st.master(p)
+		return nil
 	})
-	st.env.Run(simBudget)
+	err := st.rig.Run(simBudget, 1)
 	if st.fail != nil {
 		return nil, st.fail
 	}
-	if masterErr != nil {
-		return nil, masterErr
-	}
-	if !st.finished {
+	if st.rig.Done == 0 {
 		return nil, fmt.Errorf("torture: run did not finish within the %v simulation budget (seed %d)", simBudget, st.cfg.Seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("torture: seed %d: %w", st.cfg.Seed, err)
 	}
 	return st.result(), nil
 }
@@ -224,25 +209,25 @@ func (st *runState) run() (*Result, error) {
 // master drives the phases: spawn clients, open the storm once every
 // client finished setup, start the fault schedule, wait the storm out,
 // wait for the end checks, then replay the oracle and diff.
-func (st *runState) master(p *sim.Proc) error {
+func (st *runState) master(p *sim.Proc) {
 	st.stormLive = len(st.clients)
 	if st.cfg.Elastic {
-		st.env.Spawn("torture-membership", st.membership)
+		st.rig.Env.Spawn("torture-membership", st.membership)
 	}
 	for _, c := range st.clients {
 		c := c
-		st.env.Spawn(fmt.Sprintf("torture-c%d", c.idx), c.run)
+		st.rig.Env.Spawn(fmt.Sprintf("torture-c%d", c.idx), c.run)
 	}
 	for st.ready < len(st.clients) && !st.failed() {
 		p.Sleep(tick)
 	}
 	if st.failed() {
-		return nil
+		return
 	}
 	st.stormStart = st.now()
 	st.stormOn = true
 	if !st.cfg.Quiet {
-		st.env.Spawn("torture-schedule", st.schedule)
+		st.rig.Env.Spawn("torture-schedule", st.schedule)
 	}
 	for st.stormLive > 0 && !st.failed() {
 		p.Sleep(tick)
@@ -251,7 +236,7 @@ func (st *runState) master(p *sim.Proc) error {
 	// Revive everything (the schedule may have exited mid-dwell on a
 	// failure) and let late frames and armed timeouts drain before the
 	// end checks read server state.
-	for i, n := range st.serverNodes {
+	for i, n := range st.rig.Nodes {
 		n.NIC.Revive()
 		st.nicDown[i] = false
 	}
@@ -263,8 +248,6 @@ func (st *runState) master(p *sim.Proc) error {
 	if !st.failed() {
 		st.replayOracle(p)
 	}
-	st.finished = true
-	return nil
 }
 
 // result aggregates the counters after a clean run.

@@ -48,7 +48,7 @@ func (st *runState) schedule(p *sim.Proc) {
 	}
 	// Leave nothing dark behind (the master revives again, but a
 	// schedule that exits mid-dwell should clean up after itself).
-	for i, n := range st.serverNodes {
+	for i, n := range st.rig.Nodes {
 		if st.nicDown[i] {
 			n.NIC.Revive()
 			st.nicDown[i] = false
@@ -110,11 +110,11 @@ func (st *runState) noteFault(kind string, victims []int, note string) {
 func (st *runState) injectKill(p *sim.Proc, rng *rand.Rand, v int) {
 	dwell := time.Duration(500+rng.Intn(1500)) * time.Microsecond
 	st.nicDown[v] = true
-	st.serverNodes[v].NIC.Kill()
+	st.rig.Nodes[v].NIC.Kill()
 	st.kills++
 	st.noteFault("kill", []int{v}, fmt.Sprintf("kill %d for %v", v, dwell))
 	p.Sleep(dwell)
-	st.serverNodes[v].NIC.Revive()
+	st.rig.Nodes[v].NIC.Revive()
 	st.nicDown[v] = false
 	st.lastFaultClear = st.now()
 }
@@ -125,7 +125,7 @@ func (st *runState) injectStall(p *sim.Proc, rng *rand.Rand, v int) {
 	// the retired-slot paths.
 	d := st.cfg.Timeout + time.Duration(500+rng.Intn(1500))*time.Microsecond
 	st.nicDown[v] = true
-	st.serverNodes[v].NIC.StallFor(d)
+	st.rig.Nodes[v].NIC.StallFor(d)
 	st.stalls++
 	st.noteFault("stall", []int{v}, fmt.Sprintf("stall %d for %v", v, d))
 	p.Sleep(d)
@@ -152,13 +152,13 @@ func (st *runState) injectStrike(p *sim.Proc, rng *rand.Rand) {
 	dwell := time.Duration(700+rng.Intn(1800)) * time.Microsecond
 	for _, m := range victims {
 		st.nicDown[m] = true
-		st.serverNodes[m].NIC.Kill()
+		st.rig.Nodes[m].NIC.Kill()
 	}
 	st.strikes++
 	st.noteFault("strike", victims, fmt.Sprintf("strike group %d (servers %v) for %v", res, victims, dwell))
 	p.Sleep(dwell)
 	for _, m := range victims {
-		st.serverNodes[m].NIC.Revive()
+		st.rig.Nodes[m].NIC.Revive()
 		st.nicDown[m] = false
 	}
 	st.lastFaultClear = st.now()

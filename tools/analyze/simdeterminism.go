@@ -29,8 +29,11 @@ import (
 // bit-deterministic under a fixed seed (matched by package name so
 // fixtures can stand in for the real tree).
 var simPackages = map[string]bool{
-	"sim": true, "hw": true, "fabric": true,
-	"rfsrv": true, "torture": true, "memfs": true,
+	"sim": true, "hw": true, "fabric": true, "mem": true, "vm": true,
+	"core": true, "gm": true, "gmkrc": true, "mx": true, "sockets": true,
+	"netpipe": true, "kernel": true, "orfs": true, "orfa": true,
+	"nbd": true, "rfsrv": true, "memfs": true, "torture": true,
+	"figures": true, "rig": true,
 }
 
 // forbiddenTimeFuncs are the package time functions that read the
