@@ -214,7 +214,7 @@ type Cluster struct {
 	policyOn bool
 
 	// layouts caches each inode's layout class as learned from create
-	// hints, OpSetLayout fans and reply nibbles (observeResp). Only
+	// hints, OpSetLayout fans and reply Layout bytes (observeResp). Only
 	// populated under an enabled policy. Entries ride the same
 	// validated-cache discipline as sizes: a layout change bumps the
 	// size epoch, so stale placement is caught by the epoch check.
@@ -411,14 +411,10 @@ func ValidateStripe(stripe int64) error {
 // the machinery off preserves the bit-identity-with-a-plain-Session
 // guarantee under every policy.
 //
-// Mutually exclusive with the sharded namespace: a cluster running
-// EnableShardedNamespace returns ErrShardLayoutConflict (sharding
-// reuses the create request's Len field, which is where layout hints
-// travel — see DESIGN.md §11 and the ROADMAP composition follow-up).
+// The policy composes with the sharded namespace and with batched size
+// publishes, in any order: under sharding a whole-on-home file lives on
+// its owner group (see wholeHome).
 func (cl *Cluster) SetLayoutPolicy(pol LayoutPolicy) error {
-	if cl.sharded {
-		return fmt.Errorf("%w: EnableShardedNamespace is already on", ErrShardLayoutConflict)
-	}
 	cl.policy = pol
 	cl.policyOn = len(cl.sessions) > 1
 	if cl.policyOn && cl.layouts == nil {
@@ -505,8 +501,8 @@ func (cl *Cluster) observeResp(resp *Resp) {
 	}
 	if cl.policyOn {
 		// Every reply teaches the layout cache alongside the size cache;
-		// with the policy off the nibble is ignored and the map stays
-		// empty (no per-reply map cost on the default path).
+		// with the policy off the Layout byte is ignored and the map
+		// stays empty (no per-reply map cost on the default path).
 		cl.layouts[ino] = resp.Layout
 	}
 }
@@ -676,12 +672,17 @@ func (cl *Cluster) ownerIdx(off int64) int {
 	return int((off / cl.stripe) % int64(len(cl.members)))
 }
 
-// wholeHome returns the fixed data owner of a whole-on-home file: the
-// same hash homeIdx routes the inode's metadata to, so ONE server
-// answers both getattr and every byte of the file — the point of the
-// class. Unlike homeIdx it does not walk past excluded servers
-// (placement is fixed; reads fail over across the replica set instead).
+// wholeHome returns the fixed data owner position of a whole-on-home
+// file: where the inode's getattr goes (the homeIdx hash, or under
+// sharding the owner residue), so ONE server answers both getattr and
+// every byte of the file — the point of the class. Unlike homeIdx it
+// does not walk past excluded servers (placement is fixed; reads fail
+// over across the replica set, which under sharding is the owner
+// group).
 func (cl *Cluster) wholeHome(ino kernel.InodeID) int {
+	if cl.sharded {
+		return cl.shardOwner(ino)
+	}
 	return int(mix(uint64(ino)) % uint64(len(cl.members)))
 }
 
@@ -725,7 +726,7 @@ func (cl *Cluster) layoutCached(ino kernel.InodeID) LayoutClass {
 
 // layoutFor resolves the layout class a data operation must use. With
 // the policy on, an inode this client has never resolved costs one
-// homed getattr on the control path (the reply teaches both caches);
+// getattr on the control path (the reply teaches both caches);
 // every create, lookup or prior data reply already populated the cache
 // for the normal open-then-read lifecycle, so the fetch is rare.
 func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, error) {
@@ -735,11 +736,21 @@ func (cl *Cluster) layoutFor(p *sim.Proc, ino kernel.InodeID) (LayoutClass, erro
 	if lc, ok := cl.layouts[ino]; ok {
 		return lc, nil
 	}
-	resp, err := cl.homedMeta(p, &Req{Op: OpGetattr, Ino: ino}, func() int { return cl.homeIdx(ino) })
+	resp, err := cl.getattr(p, ino)
 	if err != nil {
 		return LayoutStandard, err
 	}
 	return resp.Layout, nil
+}
+
+// getattr fetches an inode's attributes where its metadata lives: the
+// owner group under sharding, the hashed home otherwise.
+func (cl *Cluster) getattr(p *sim.Proc, ino kernel.InodeID) (*Resp, error) {
+	req := &Req{Op: OpGetattr, Ino: ino}
+	if cl.sharded {
+		return cl.groupRead(p, cl.shardOwner(ino), req)
+	}
+	return cl.homedMeta(p, req, func() int { return cl.homeIdx(ino) })
 }
 
 // aliveFrom returns the session slot of the first non-excluded member
@@ -766,11 +777,18 @@ func (cl *Cluster) homeIdx(ino kernel.InodeID) int {
 // component), so sibling entries spread across servers. Excluded homes
 // re-route to the next alive server, like homeIdx.
 func (cl *Cluster) pathHomeIdx(dir kernel.InodeID, name string) int {
+	return cl.aliveFrom(int(pathHash(dir, name) % uint64(len(cl.members))))
+}
+
+// pathHash chains a directory's inode with a component name (FNV-1a
+// over the name): the spread hash of path homing and of sharded
+// directory residues.
+func pathHash(dir kernel.InodeID, name string) uint64 {
 	h := mix(uint64(dir))
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return cl.aliveFrom(int(h % uint64(len(cl.members))))
+	return h
 }
 
 // allReplicasDown is the error for a stripe whose every replica is
@@ -1394,7 +1412,7 @@ func (cl *Cluster) setSizeFan(p *sim.Proc, ino kernel.InodeID, end int64, epoch 
 			continue
 		}
 		cl.SetSizes.Add(1)
-		cl.fanReq = Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, epoch)}
+		cl.fanReq = Req{Op: OpSetSize, Ino: ino, Off: end, Len: SetSizeGrow, Epoch: epoch}
 		fl, err := startSyncMeta(p, s.c, &cl.fanReq)
 		if err != nil {
 			if fabric.IsFault(err) {
@@ -1523,7 +1541,7 @@ func (cl *Cluster) stagingVec(n int) (core.Vector, error) {
 // striping expects them.
 func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 	src := cl.members[cl.wholeHome(ino)]
-	resp, err := cl.homedMeta(p, &Req{Op: OpGetattr, Ino: ino}, func() int { return cl.homeIdx(ino) })
+	resp, err := cl.getattr(p, ino)
 	if err != nil {
 		return err
 	}
@@ -1588,7 +1606,7 @@ func (cl *Cluster) promote(p *sim.Proc, ino kernel.InodeID) error {
 			off = fragEnd
 		}
 	}
-	if _, err := cl.fanout(p, &Req{Op: OpSetLayout, Ino: ino, Len: uint32(LayoutStandard)}); err != nil {
+	if _, err := cl.fanout(p, &Req{Op: OpSetLayout, Ino: ino, Layout: LayoutStandard}); err != nil {
 		return err
 	}
 	cl.layouts[ino] = LayoutStandard
@@ -1900,10 +1918,10 @@ func (cl *Cluster) syncMeta(p *sim.Proc, idx int, req *Req) (*Resp, error) {
 // server order, and the per-server answers must agree (same status,
 // same inode) or the cluster reports namespace divergence — a faulting
 // server is excluded, never counted as divergent. OpTruncate is
-// translated to the exact mode of OpSetSize — same wire size, but it
-// carries this client's observed size epoch, so servers refuse it when
-// the view is stale and the cluster revalidates and retries; OpSetSize
-// requests get their observed epoch stamped the same way.
+// translated to the exact mode of OpSetSize, which carries this
+// client's observed size epoch, so servers refuse it when the view is
+// stale and the cluster revalidates and retries; OpSetSize requests
+// get their observed epoch stamped the same way.
 func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	if err := ValidateReq(req); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
@@ -1943,10 +1961,9 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 	case OpGetattr, OpReaddir:
 		return cl.homedMeta(p, req, func() int { return cl.homeIdx(req.Ino) })
 	case OpTruncate:
-		return cl.setSizeMeta(p, req.Ino, req.Off, true)
+		return cl.setSizeMeta(p, req.Ino, req.Off, SetSizeExact)
 	case OpSetSize:
-		exact, _ := UnpackSetSize(req.Len)
-		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
+		return cl.setSizeMeta(p, req.Ino, req.Off, req.Len)
 	case OpCreate:
 		return cl.fanout(p, cl.hintCreate(req))
 	default:
@@ -1958,14 +1975,13 @@ func (cl *Cluster) Meta(p *sim.Proc, req *Req) (*Resp, error) {
 // unhinted create: new files start whole-on-home and are promoted when
 // they outgrow PromoteThreshold. Explicit hints (a caller that knows
 // the file will be huge asks for LayoutWide up front) pass through
-// untouched, as does everything when the policy is off — the request
-// is then byte-identical to the pre-layout protocol.
+// untouched, as does everything when the policy is off.
 func (cl *Cluster) hintCreate(req *Req) *Req {
-	if !cl.policyOn || !cl.policy.Adaptive || req.Len != 0 {
+	if !cl.policyOn || !cl.policy.Adaptive || req.Layout != LayoutStandard {
 		return req
 	}
 	r := *req
-	r.Len = uint32(LayoutWhole)
+	r.Layout = LayoutWhole
 	return &r
 }
 
@@ -1974,9 +1990,9 @@ func (cl *Cluster) hintCreate(req *Req) *Req {
 // grow mode — revalidating and retrying when the observed epoch
 // proves stale, so callers never see a spurious ErrStaleEpoch from a
 // racing foreign size set.
-func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, exact bool) (*Resp, error) {
+func (cl *Cluster) setSizeMeta(p *sim.Proc, ino kernel.InodeID, size int64, mode uint32) (*Resp, error) {
 	for attempt := 0; ; attempt++ {
-		req := &Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(exact, cl.sizes[ino].epoch)}
+		req := &Req{Op: OpSetSize, Ino: ino, Off: size, Len: mode, Epoch: cl.sizes[ino].epoch}
 		resp, err := cl.fanout(p, req)
 		if !errors.Is(err, ErrStaleEpoch) {
 			return resp, err
@@ -2165,9 +2181,9 @@ func (cl *Cluster) noteMutation(req *Req, resp *Resp, err error) {
 		// raw fan-out (MetaBatch carrying one) records the same facts.
 		cl.bumpAllNs()
 		cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
-		cl.journalMutationAll(&Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: PackSetSize(true, 0)}, req.Ino, resp.Epoch)
+		cl.journalMutationAll(&Req{Op: OpSetSize, Ino: req.Ino, Off: req.Off, Len: SetSizeExact}, req.Ino, resp.Epoch)
 	case OpSetSize:
-		if exact, _ := UnpackSetSize(req.Len); exact {
+		if req.Len == SetSizeExact {
 			cl.bumpAllNs()
 			cl.sizes[req.Ino] = cl.entry(req.Off, resp.Epoch)
 			cl.journalMutationAll(req, req.Ino, resp.Epoch)
@@ -2245,13 +2261,12 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			case OpCreate:
 				w = cl.hintCreate(r)
 			case OpTruncate:
-				w = &Req{Op: OpSetSize, Ino: r.Ino, Off: r.Off, Len: PackSetSize(true, cl.sizes[r.Ino].epoch+bumps[r.Ino])}
+				w = &Req{Op: OpSetSize, Ino: r.Ino, Off: r.Off, Len: SetSizeExact, Epoch: cl.sizes[r.Ino].epoch + bumps[r.Ino]}
 				bumps[r.Ino]++
 			case OpSetSize:
-				exact, _ := UnpackSetSize(r.Len)
 				w = cloneReq(r)
-				w.Len = PackSetSize(exact, cl.sizes[r.Ino].epoch+bumps[r.Ino])
-				if exact {
+				w.Epoch = cl.sizes[r.Ino].epoch + bumps[r.Ino]
+				if r.Len == SetSizeExact {
 					bumps[r.Ino]++
 				}
 			}

@@ -16,14 +16,17 @@ package rfsrv
 // create/unlink throughput scale with N instead of paying an N-way
 // fan per mutation.
 //
-// What still fans to everyone: exact size sets (truncate) and the
-// grow-only size publishes. File DATA is striped across all servers
-// regardless of namespace ownership, so every server's local size
-// matters to EOF clipping — a per-inode size authority would buy
-// nothing here, and keeping the fan preserves PR 5's size-coherence
-// machinery unchanged. Sharding therefore trades the O(N) namespace
-// fan away while leaving size coherence global; the batched publish
-// path amortizes the latter.
+// What still fans to everyone: exact size sets (truncate), layout
+// flips (OpSetLayout) and the grow-only size publishes. Striped file
+// DATA spreads across all servers regardless of namespace ownership,
+// so every server's local size matters to EOF clipping — a per-inode
+// size authority would buy nothing here, and keeping the fan preserves
+// the size-coherence machinery unchanged. Sharding therefore trades the
+// O(N) namespace fan away while leaving size coherence global; the
+// batched publish path amortizes the latter. A whole-on-home file
+// (layout policy, DESIGN.md §10) is the exception: its bytes live on
+// its owner group, whose primary also answers its getattr, so it
+// publishes no sizes at all.
 //
 // Rename. A rename within one owner group is a single fanned
 // OpRenameLocal. Across groups it is a three-phase protocol — prepare
@@ -56,13 +59,9 @@ const DefaultSizePublishBatch = 16
 // running EnableSharding under matching geometry (index i, count N,
 // replicas R) and backing stores partitioned with
 // memfs.SetInodePartition — residue routing only works when server i
-// mints inodes of residue i. Mutually exclusive with SetLayoutPolicy:
-// sharding reuses the create request's Len field for the routing
-// residue, which is the field layout hints travel in.
+// mints inodes of residue i. Composes with SetLayoutPolicy and
+// SetSizePublishBatch in any order.
 func (cl *Cluster) EnableShardedNamespace() error {
-	if cl.policyOn {
-		return fmt.Errorf("%w: SetLayoutPolicy is already on", ErrShardLayoutConflict)
-	}
 	cl.sharded = true
 	if cl.pubBatch == 0 {
 		return cl.SetSizePublishBatch(DefaultSizePublishBatch)
@@ -83,16 +82,12 @@ func (cl *Cluster) ShardedNamespace() bool { return cl.sharded }
 // Between flushes other servers' local sizes lag (reads clip a little
 // early; getattr via this client is safe because metadata operations
 // flush first) — the trade every write-behind scheme makes, here
-// bounded by k. k must be positive; call before traffic. Mutually
-// exclusive with SetLayoutPolicy (whole-on-home files have no
-// reconciliation to batch, and the policy machinery predates the
-// publish queue).
+// bounded by k. k must be positive; call before traffic. Whole-on-home
+// files (SetLayoutPolicy) have no reconciliation, so they never enter
+// the queue.
 func (cl *Cluster) SetSizePublishBatch(k int) error {
 	if k < 1 {
 		return fmt.Errorf("rfsrv: size publish batch %d is not positive", k)
-	}
-	if cl.policyOn {
-		return fmt.Errorf("%w: batched size publishes require a policy-free cluster", ErrShardLayoutConflict)
 	}
 	cl.pubBatch = k
 	if cl.pendPub == nil {
@@ -191,7 +186,7 @@ func (cl *Cluster) buildFlush() (reqs []*Req, npub int) {
 		if !ok {
 			continue
 		}
-		store = append(store, Req{Op: OpSetSize, Ino: ino, Off: end, Len: PackSetSize(false, cl.sizes[ino].epoch)})
+		store = append(store, Req{Op: OpSetSize, Ino: ino, Off: end, Len: SetSizeGrow, Epoch: cl.sizes[ino].epoch})
 	}
 	npub = len(store)
 	for _, victim := range cl.pendScrub {
@@ -318,17 +313,6 @@ func (cl *Cluster) shardOwner(ino kernel.InodeID) int {
 		return 0
 	}
 	return int((uint64(ino) - 2) % uint64(len(cl.members)))
-}
-
-// spreadResidue picks a fresh directory's residue by hashing its
-// (parent, name) — the same FNV-1a chaining pathHomeIdx uses, minus
-// the exclusion walk (residues are placement, fixed at mint time).
-func (cl *Cluster) spreadResidue(dir kernel.InodeID, name string) int {
-	h := mix(uint64(dir))
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return int(h % uint64(len(cl.members)))
 }
 
 // groupPrimary returns the first alive member of a residue's owner
@@ -521,9 +505,7 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 			return resp, err
 		}
 		if cl.replicas > 1 {
-			link := Req{Op: OpLink, Ino: req.Ino, Name: req.Name,
-				Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}
-			if lerr := cl.groupFanFrom(p, owner, idx, &link); lerr != nil {
+			if lerr := cl.groupFanFrom(p, owner, idx, linkReq(req.Ino, req.Name, resp)); lerr != nil {
 				return &Resp{Status: StatusOf(lerr)}, lerr
 			}
 		}
@@ -548,7 +530,7 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		}
 		return cl.groupRead(p, cl.shardOwner(req.Ino), req)
 	case OpCreate:
-		return cl.shardCreate(p, req.Ino, req.Name)
+		return cl.shardCreate(p, cl.hintCreate(req))
 	case OpMkdir:
 		return cl.shardMkdir(p, req.Ino, req.Name)
 	case OpUnlink:
@@ -556,10 +538,13 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 	case OpRmdir:
 		return cl.shardRmdir(p, req.Ino, req.Name)
 	case OpTruncate:
-		return cl.setSizeMeta(p, req.Ino, req.Off, true)
+		return cl.setSizeMeta(p, req.Ino, req.Off, SetSizeExact)
 	case OpSetSize:
-		exact, _ := UnpackSetSize(req.Len)
-		return cl.setSizeMeta(p, req.Ino, req.Off, exact)
+		return cl.setSizeMeta(p, req.Ino, req.Off, req.Len)
+	case OpSetLayout:
+		// A layout class is placement every server honours: the flip
+		// fans globally, exactly as unsharded.
+		return cl.fanout(p, req)
 	case OpRenameLocal:
 		src, dst, ok := SplitRenameNames(req.Name)
 		if !ok {
@@ -567,20 +552,19 @@ func (cl *Cluster) shardMeta(p *sim.Proc, req *Req) (*Resp, error) {
 		}
 		return cl.Rename(p, req.Ino, src, kernel.InodeID(req.Off), dst)
 	default:
-		// OpSetLayout (the layout policy is off under sharding — see
-		// EnableShardedNamespace) and the internal sharding verbs are
-		// not client-facing operations here.
+		// The internal sharding verbs are not client-facing operations.
 		return &Resp{Status: StInval}, ErrInval
 	}
 }
 
 // shardCreate creates a file under its parent directory's owner
 // group: files inherit the parent's residue, so the group that owns
-// the dentry also owns the child's attributes and ONE group — not the
-// whole cluster — serves the create.
-func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
-	owner := cl.shardOwner(dir)
-	resp, err := cl.groupMint(p, owner, &Req{Op: OpCreate, Ino: dir, Name: name, Len: uint32(owner + 1)})
+// the dentry also owns the child's attributes (and, for a whole-on-home
+// file, its bytes) and ONE group — not the whole cluster — serves the
+// create.
+func (cl *Cluster) shardCreate(p *sim.Proc, req *Req) (*Resp, error) {
+	owner := cl.shardOwner(req.Ino)
+	resp, err := cl.groupMint(p, owner, &Req{Op: OpCreate, Ino: req.Ino, Name: req.Name, Layout: req.Layout})
 	if err != nil {
 		return resp, err
 	}
@@ -589,31 +573,38 @@ func (cl *Cluster) shardCreate(p *sim.Proc, dir kernel.InodeID, name string) (*R
 	if cl.anyDown() {
 		// Excluded group members missed the dentry: journal the
 		// idempotent replication verb (OpLink), not the minting create.
-		cl.journalGroup(owner, &Req{Op: OpLink, Ino: dir, Name: name,
-			Off: int64(resp.Attr.Ino), Len: uint32(resp.Attr.Kind)}, resp.Attr.Ino, resp.Epoch)
+		cl.journalGroup(owner, linkReq(req.Ino, req.Name, resp), resp.Attr.Ino, resp.Epoch)
 	}
 	return resp, nil
+}
+
+// linkReq is the OpLink that enters the inode a reply resolved into
+// (dir, name), carrying its kind and layout class: the replication of
+// a freshly minted dentry, or a rename's commit.
+func linkReq(dir kernel.InodeID, name string, resp *Resp) *Req {
+	return &Req{Op: OpLink, Ino: dir, Name: name, Off: int64(resp.Attr.Ino),
+		Len: uint32(resp.Attr.Kind), Layout: resp.Layout}
 }
 
 // shardMkdir creates a directory: the dentry is minted at the
 // PARENT's owner group (round one), then the fresh directory's object
 // is materialized at ITS owner group (round two) — the group its
 // residue routes its children's operations to, generally a different
-// one (spreadResidue is what scatters the namespace over N servers).
-// A crash between the rounds leaves a dentry whose object the child's
-// group materializes on demand at first touch.
+// one (the minting server hashes (parent, name) into the residue,
+// which is what scatters the namespace over N servers). A crash
+// between the rounds leaves a dentry whose object the child's group
+// materializes on demand at first touch.
 func (cl *Cluster) shardMkdir(p *sim.Proc, dir kernel.InodeID, name string) (*Resp, error) {
 	owner := cl.shardOwner(dir)
-	res := cl.spreadResidue(dir, name)
-	resp, err := cl.groupMint(p, owner, &Req{Op: OpMkdir, Ino: dir, Name: name, Len: uint32(res + 1)})
+	resp, err := cl.groupMint(p, owner, &Req{Op: OpMkdir, Ino: dir, Name: name})
 	if err != nil {
 		return resp, err
 	}
 	cl.bumpGroupNs(owner)
 	if cl.anyDown() {
-		cl.journalGroup(owner, &Req{Op: OpLink, Ino: dir, Name: name,
-			Off: int64(resp.Attr.Ino), Len: uint32(kernel.Directory)}, resp.Attr.Ino, resp.Epoch)
+		cl.journalGroup(owner, linkReq(dir, name, resp), resp.Attr.Ino, resp.Epoch)
 	}
+	res := cl.shardOwner(resp.Attr.Ino)
 	if _, err := cl.groupFan(p, res, &Req{Op: OpMaterialize, Ino: resp.Attr.Ino, Len: uint32(kernel.Directory)}); err != nil {
 		return &Resp{Status: StatusOf(err)}, err
 	}
@@ -763,9 +754,11 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 		return presp, err
 	}
 	child := presp.Attr
+	commit := linkReq(dstDir, dstName, presp)
 	// Phase 2 — commit at the destination group: link the child under
-	// its new name. This is the switch point.
-	cresp, err := cl.groupFan(p, do, &Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName})
+	// its new name, with the layout class the source reported. This is
+	// the switch point.
+	cresp, err := cl.groupFan(p, do, commit)
 	if err != nil {
 		// The destination never (observably) switched: abort the
 		// source marks so the namespace settles in its original state.
@@ -796,7 +789,7 @@ func (cl *Cluster) Rename(p *sim.Proc, srcDir kernel.InodeID, srcName string, ds
 	cl.bumpGroupNs(do)
 	cl.bumpGroupNs(so)
 	if cl.anyDown() {
-		cl.journalGroup(do, &Req{Op: OpLink, Ino: dstDir, Off: int64(child.Ino), Len: uint32(child.Kind), Name: dstName}, child.Ino, cresp.Epoch)
+		cl.journalGroup(do, commit, child.Ino, cresp.Epoch)
 	}
 	// Phase 3 — finalize at the source group: detach the old entry and
 	// clear the mark.
@@ -936,11 +929,8 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 				return nil, cl.groupDead(r.Op, owner)
 			}
 			muts[i] = mut{owner: owner, primary: idx}
-			// Sharded servers read Len as the routing residue (files
-			// inherit the parent's); layout hints do not exist here.
-			w := &Req{Op: OpCreate, Ino: r.Ino, Name: r.Name, Len: uint32(owner + 1)}
 			shares[idx].idx = append(shares[idx].idx, i)
-			shares[idx].reqs = append(shares[idx].reqs, w)
+			shares[idx].reqs = append(shares[idx].reqs, cl.hintCreate(r))
 		case OpUnlink:
 			owner := cl.shardOwner(r.Ino)
 			idx := cl.groupPrimary(owner)
@@ -1032,16 +1022,15 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		}
 		switch r.Op {
 		case OpCreate:
-			link := Req{Op: OpLink, Ino: r.Ino, Name: r.Name,
-				Off: int64(out[i].Attr.Ino), Len: uint32(out[i].Attr.Kind)}
+			link := linkReq(r.Ino, r.Name, out[i])
 			if cl.replicas > 1 {
-				if err := cl.groupFanFrom(p, m.owner, m.primary, &link); err != nil {
+				if err := cl.groupFanFrom(p, m.owner, m.primary, link); err != nil {
 					return out, err
 				}
 			}
 			cl.bumpGroupNs(m.owner)
 			if cl.anyDown() {
-				cl.journalGroup(m.owner, &link, out[i].Attr.Ino, out[i].Epoch)
+				cl.journalGroup(m.owner, link, out[i].Attr.Ino, out[i].Epoch)
 			}
 			cl.sizes[out[i].Attr.Ino] = cl.entry(out[i].Attr.Size, out[i].Epoch)
 		case OpUnlink:

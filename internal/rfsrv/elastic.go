@@ -393,27 +393,13 @@ func (cl *Cluster) replayOpsBatched(p *sim.Proc, i int, j *resyncJournal) (fallb
 	reqs := make([]*Req, 0, len(j.ops)+len(j.ops)/2)
 	idx := make([]int, 0, cap(reqs)) // journal index +1 per request; 0 marks an epoch prelude
 	for k := range j.ops {
-		op := &j.ops[k]
-		req := op.req // copy: the flight stamps Seq/EP into each request
-		switch req.Op {
-		case OpSetSize, OpSetLayout, OpTruncate:
-			// Same epoch-rewind prelude as replayOp, carried in the
-			// batch right before its epoch-bumping op.
-			if op.wantEpoch > 0 {
-				reqs = append(reqs, &Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(op.wantEpoch - 1)})
-				idx = append(idx, 0)
-			}
-			if req.Op == OpSetSize {
-				exact, _ := UnpackSetSize(req.Len)
-				var obs uint64
-				if op.wantEpoch > 0 {
-					obs = op.wantEpoch - 1
-				}
-				req.Len = PackSetSize(exact, obs)
-			}
+		// The flight stamps Seq/EP into each request, so both are copies.
+		sync, req := replayForm(&j.ops[k])
+		if sync != nil {
+			reqs = append(reqs, sync)
+			idx = append(idx, 0)
 		}
-		r := req
-		reqs = append(reqs, &r)
+		reqs = append(reqs, &req)
 		idx = append(idx, k+1)
 	}
 	// Like replayRT, transport-level failures (fault, timeout, decode)
@@ -521,8 +507,31 @@ func (cl *Cluster) replayRT(p *sim.Proc, i int, req *Req) (*Resp, error) {
 	return resp, nil
 }
 
+// replayForm returns a journaled op as replay issues it, plus the
+// epoch-rewind prelude an epoch-bumping op needs (nil otherwise): the
+// OpSyncEpoch that rewinds the returning server's size epoch to
+// wantEpoch−1, so the replayed bump lands exactly at wantEpoch —
+// idempotent even when the server already applied the op (the rewind
+// makes re-application converge, not double-bump). A replayed size set
+// observes the rewound epoch.
+func replayForm(op *journalOp) (sync *Req, req Req) {
+	req = op.req
+	switch req.Op {
+	case OpSetSize, OpSetLayout, OpTruncate:
+		var rewound uint64
+		if op.wantEpoch > 0 {
+			rewound = op.wantEpoch - 1
+			sync = &Req{Op: OpSyncEpoch, Ino: req.Ino, Epoch: rewound}
+		}
+		if req.Op == OpSetSize {
+			req.Epoch = rewound
+		}
+	}
+	return sync, req
+}
+
 func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp) error {
-	req := op.req
+	sync, req := replayForm(op)
 	// Reads and lookups are never journaled; writes resync through
 	// dirty ranges; RenamePrepare is always resolved to Finalize or
 	// Abort before it is journaled; SyncEpoch is what replay itself
@@ -537,28 +546,15 @@ func (cl *Cluster) replayOp(p *sim.Proc, i int, op *journalOp) error {
 		return ErrOf(resp.Status)
 
 	case OpSetSize, OpSetLayout, OpTruncate:
-		// Epoch-bumping ops: rewind the returning server's size epoch
-		// to wantEpoch−1 so the replayed bump lands exactly at
-		// wantEpoch — idempotent even when the server already applied
-		// the op (the rewind makes re-application converge, not
-		// double-bump).
-		if op.wantEpoch > 0 {
-			sync := Req{Op: OpSyncEpoch, Ino: req.Ino, Off: int64(op.wantEpoch - 1)}
-			resp, err := cl.replayRT(p, i, &sync)
+		// Epoch-bumping ops: rewind first (see replayForm).
+		if sync != nil {
+			resp, err := cl.replayRT(p, i, sync)
 			if err != nil {
 				return err
 			}
 			if resp.Status != StOK {
 				return ErrOf(resp.Status)
 			}
-		}
-		if req.Op == OpSetSize {
-			exact, _ := UnpackSetSize(req.Len)
-			var obs uint64
-			if op.wantEpoch > 0 {
-				obs = op.wantEpoch - 1
-			}
-			req.Len = PackSetSize(exact, obs)
 		}
 		resp, err := cl.replayRT(p, i, &req)
 		if err != nil {
@@ -1264,10 +1260,10 @@ func (cl *Cluster) changeMembers(p *sim.Proc, next []int) error {
 // commitMember fans OpMember to every slot of next (in position
 // order) and an epoch-only stamp to retirees, so every server's
 // replies carry the new membership epoch.
-func (cl *Cluster) commitMember(p *sim.Proc, old, next []int, epoch uint64, floor kernel.InodeID, sharded bool) error {
+func (cl *Cluster) commitMember(p *sim.Proc, old, next []int, epoch uint64, floor kernel.InodeID) error {
 	n := len(next)
 	for pos, slot := range next {
-		req := Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: PackMember(pos, n, cl.replicas, sharded)}
+		req := Req{Op: OpMember, Ino: floor, Off: int64(pos), Len: uint32(n), Epoch: epoch}
 		resp, err := cl.syncMeta(p, slot, &req)
 		if err != nil {
 			return fmt.Errorf("commit membership on server %d: %w", slot, err)
@@ -1280,7 +1276,7 @@ func (cl *Cluster) commitMember(p *sim.Proc, old, next []int, epoch uint64, floo
 		if posOf(next, slot) >= 0 {
 			continue
 		}
-		req := Req{Op: OpMember, Ino: floor, Off: int64(epoch), Len: PackMember(0, n, cl.replicas, false)}
+		req := Req{Op: OpMember, Ino: floor, Off: -1, Len: uint32(n), Epoch: epoch}
 		resp, err := cl.syncMeta(p, slot, &req)
 		if err != nil {
 			return fmt.Errorf("stamp retiring server %d: %w", slot, err)
@@ -1435,7 +1431,7 @@ func (cl *Cluster) memberOnline(p *sim.Proc, next []int) error {
 	// Phase 7: commit the new geometry on every affected server, flip
 	// the view, and adopt it.
 	epoch := v.epoch + 1
-	if err := cl.commitMember(p, old, next, epoch, 0, false); err != nil {
+	if err := cl.commitMember(p, old, next, epoch, 0); err != nil {
 		return err
 	}
 	v.members = append(v.members[:0], next...)
@@ -1523,7 +1519,7 @@ func (cl *Cluster) publishGrow(p *sim.Proc, slot int, ino kernel.InodeID, size i
 		if resp.Attr.Size >= size {
 			return nil
 		}
-		set := Req{Op: OpSetSize, Ino: ino, Off: size, Len: PackSetSize(false, resp.Epoch)}
+		set := Req{Op: OpSetSize, Ino: ino, Off: size, Len: SetSizeGrow, Epoch: resp.Epoch}
 		resp, err = cl.replayRT(p, slot, &set)
 		if err != nil {
 			return err
@@ -1584,7 +1580,7 @@ func (cl *Cluster) memberStopWorld(p *sim.Proc, next []int) error {
 	// rebuild below lands on servers that already route by the new
 	// residues.
 	epoch := v.epoch + 1
-	if err := cl.commitMember(p, old, next, epoch, floor, true); err != nil {
+	if err := cl.commitMember(p, old, next, epoch, floor); err != nil {
 		return err
 	}
 

@@ -21,7 +21,7 @@ import (
 // its inode.
 func layoutCreate(t *testing.T, p *sim.Proc, cl *rfsrv.Cluster, name string, hint rfsrv.LayoutClass) kernel.InodeID {
 	t.Helper()
-	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: name, Len: uint32(hint)})
+	resp, err := cl.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: 0, Name: name, Layout: hint})
 	if err != nil {
 		t.Fatalf("create %s (hint %v): %v", name, hint, err)
 	}

@@ -49,21 +49,22 @@ const (
 	OpRead
 	OpWrite
 	// OpSetSize is the size-coherence operation (it replaced the
-	// grow-only OpExtend at the same opcode). Off is the target size;
-	// Len packs a mode bit and the writer's observed size epoch (see
-	// PackSetSize). In grow mode the server applies size = max(size,
-	// Off) and never bumps the inode's size epoch — idempotent and safe
-	// to replay in any order, the property the striped cluster client
-	// relies on when it reconciles file sizes across servers after a
-	// write whose tail stripe landed away from the metadata home. In
-	// exact mode the server applies size = Off (grow or shrink) and
-	// always bumps the epoch — the cluster's truncate. Either mode is
-	// rejected with StStale when the observed epoch is behind, with the
-	// reply carrying the authoritative (size, epoch) so one round trip
-	// revalidates the caller (see Cluster).
+	// grow-only OpExtend at the same opcode). Off is the target size,
+	// Epoch the writer's observed size epoch, and Len the mode
+	// (SetSizeGrow or SetSizeExact). In grow mode the server applies
+	// size = max(size, Off) and never bumps the inode's size epoch —
+	// idempotent and safe to replay in any order, the property the
+	// striped cluster client relies on when it reconciles file sizes
+	// across servers after a write whose tail stripe landed away from
+	// the metadata home. In exact mode the server applies size = Off
+	// (grow or shrink) and always bumps the epoch — the cluster's
+	// truncate. Either mode is rejected with StStale when the observed
+	// epoch differs from the server's, with the reply carrying the
+	// authoritative (size, epoch) so one round trip revalidates the
+	// caller (see Cluster).
 	OpSetSize
 	// OpSetLayout records a file's stripe-layout class (DESIGN.md §10)
-	// in the serving inode: Len carries the LayoutClass. Changing the
+	// in the serving inode: Layout carries the LayoutClass. Changing the
 	// layout relocates data, so the server bumps the inode's size epoch —
 	// every cached (size, layout) view elsewhere is invalidated through
 	// the same validated-cache machinery truncate uses, and a cluster
@@ -72,7 +73,8 @@ const (
 	OpSetLayout
 	// OpLink enters an existing inode into a directory under a new name
 	// without minting anything: Off carries the child inode, Len its
-	// FileKind. It is the replication verb of the sharded namespace
+	// FileKind and Layout its layout class (recorded like a create
+	// hint). It is the replication verb of the sharded namespace
 	// (copying a fresh dentry to the owner group's replicas) and the
 	// commit half of the two-phase rename. Linking the same child under
 	// the same name twice is an idempotent success.
@@ -107,16 +109,19 @@ const (
 	// single-server sessions, where every server can apply it locally.
 	OpRenameLocal
 	// OpMember commits a new membership view on a server (DESIGN.md
-	// §13): Off carries the new membership epoch, Len the server's
-	// placement position/count/replication packed by PackMember, and —
-	// in sharded mode — Ino carries the mint floor every server must
-	// raise its inode cursor past so inodes minted under the new
-	// geometry can never collide with ones minted under the old.
+	// §13): Epoch carries the new membership epoch, Off the server's
+	// position in the new placement order (-1 for a server leaving the
+	// membership, which only adopts the epoch), Len the new member
+	// count, and Ino the mint floor a sharded server raises its inode
+	// cursor past, so inodes minted under the new geometry can never
+	// collide with ones minted under the old. A sharded server keeps
+	// its own replication factor.
 	OpMember
 	// OpSyncEpoch is the resync-only epoch alignment op: it sets the
-	// server's size epoch for Ino to Off so a journal replay can land an
-	// epoch-bumping mutation (exact OpSetSize, OpTruncate, OpSetLayout)
-	// at exactly the epoch the rest of the cluster recorded for it.
+	// server's size epoch for Ino to Epoch so a journal replay can land
+	// an epoch-bumping mutation (exact OpSetSize, OpTruncate,
+	// OpSetLayout) at exactly the epoch the rest of the cluster recorded
+	// for it.
 	// Only Reinstate's replay engine issues it.
 	OpSyncEpoch
 )
@@ -131,24 +136,6 @@ var opNames = map[Op]string{
 	OpRenamePrepare: "renameprepare", OpRenameFinalize: "renamefinalize",
 	OpRenameAbort: "renameabort", OpRenameLocal: "renamelocal",
 	OpMember: "member", OpSyncEpoch: "syncepoch",
-}
-
-// PackMember builds the Len field of an OpMember request: the server's
-// position in the new placement order (7 bits), the new member count
-// (7 bits), the replication factor (7 bits), and a sharded-geometry
-// flag telling the server to swap its §11 ownership map and minting
-// partition along with the epoch.
-func PackMember(pos, n, r int, sharded bool) uint32 {
-	l := uint32(pos&0x7f) | uint32(n&0x7f)<<7 | uint32(r&0x7f)<<14
-	if sharded {
-		l |= 1 << 21
-	}
-	return l
-}
-
-// UnpackMember is the inverse of PackMember.
-func UnpackMember(l uint32) (pos, n, r int, sharded bool) {
-	return int(l & 0x7f), int(l >> 7 & 0x7f), int(l >> 14 & 0x7f), l&(1<<21) != 0
 }
 
 // ScrubRequireEmptyDir is the OpScrub Len bit that turns the scrub
@@ -172,10 +159,8 @@ func SplitRenameNames(packed string) (src, dst string, ok bool) {
 }
 
 // LayoutClass is a file's stripe-layout policy, recorded per inode at
-// create time (or changed by OpSetLayout). It rides the wire in bytes
-// that were previously always zero — the high nibble of the reply's
-// kind byte and an OpCreate request's unused Len field — so the
-// layout machinery changed no message length and no fault-free timing.
+// create time (or changed by OpSetLayout). It has a byte of its own in
+// both the request (Req.Layout) and the reply (Resp.Layout).
 type LayoutClass uint8
 
 const (
@@ -228,60 +213,42 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Req is a protocol request. Ino 0 denotes the filesystem root.
+// Req is a protocol request. Ino 0 denotes the filesystem root. Each
+// field has one meaning per operation; DESIGN.md §4 tabulates them.
 type Req struct {
 	Op  Op
 	Seq uint64
 	EP  uint8 // client endpoint/port to reply to
 	Ino kernel.InodeID
-	Off int64 // offset (read/write) or new size (truncate/setsize)
-	// Len is the read/write byte count; OpSetSize packs mode+epoch here
-	// (PackSetSize); OpCreate and OpSetLayout carry a LayoutClass (the
-	// field was always zero for creates before, so an unhinted create is
-	// wire-identical to a LayoutStandard one).
-	Len  uint32
-	Name string // lookup/create/mkdir/unlink/rmdir
+	// Off is the offset (read/write), the new size (truncate/setsize),
+	// the child inode (link, rename finalize) or destination directory
+	// (rename prepare/local), or the placement position (member).
+	Off int64
+	// Len is the read/write byte count, the FileKind (link,
+	// materialize), the mode (setsize: SetSizeGrow/SetSizeExact; scrub:
+	// ScrubRequireEmptyDir) or the member count (member).
+	Len uint32
+	// Epoch is the writer's observed size epoch (setsize), the epoch to
+	// install (syncepoch) or the new membership epoch (member).
+	Epoch uint64
+	// Layout is the layout class a create asks for, OpSetLayout sets or
+	// OpLink records for the linked child.
+	Layout LayoutClass
+	Name   string // lookup/create/mkdir/unlink/rmdir/link/rename
 }
 
-// setSizeExactBit marks an OpSetSize request as an exact set (shrink
-// allowed, epoch bumped) rather than a grow-only reconciliation.
-const setSizeExactBit = 1 << 31
-
-// SetSizeEpochMask selects the observed-epoch bits of an OpSetSize
-// request's Len field: the writer's size epoch truncated to 31 bits.
-// Replies carry full 64-bit epochs; the request-side truncation is a
-// staleness check by equality, valid over any realistic epoch window.
-const SetSizeEpochMask = 1<<31 - 1
-
-// MemberEpochShift positions the membership-view epoch inside the
-// 64-bit reply epoch slot: the top 16 bits carry the member epoch, the
-// low 48 the inode's size epoch (Resp.MemberEpoch).
-const MemberEpochShift = 48
-
-// SizeEpochMask selects the size-epoch bits of the reply epoch slot.
-const SizeEpochMask = 1<<MemberEpochShift - 1
-
-// PackSetSize builds the Len field of an OpSetSize request from the
-// mode and the writer's observed size epoch. The epoch rides in the
-// request so the server can refuse to act on a stale view of the file
-// (StStale) instead of silently re-growing sizes a foreign truncate
-// just cut.
-func PackSetSize(exact bool, epoch uint64) uint32 {
-	l := uint32(epoch & SetSizeEpochMask)
-	if exact {
-		l |= setSizeExactBit
-	}
-	return l
-}
-
-// UnpackSetSize splits an OpSetSize request's Len field into the mode
-// and the observed epoch (truncated to 31 bits, see SetSizeEpochMask).
-func UnpackSetSize(l uint32) (exact bool, epoch uint32) {
-	return l&setSizeExactBit != 0, l & SetSizeEpochMask
-}
+// OpSetSize modes (Req.Len).
+const (
+	// SetSizeGrow raises the size to at least Off without bumping the
+	// size epoch: the replayable reconciliation of striped writes.
+	SetSizeGrow = 0
+	// SetSizeExact sets the size to Off (shrink allowed) and bumps the
+	// size epoch: the cluster's truncate.
+	SetSizeExact = 1
+)
 
 // reqFixed is the fixed-size prefix of an encoded request.
-const reqFixed = 1 + 8 + 1 + 8 + 8 + 4 + 2
+const reqFixed = 1 + 8 + 1 + 8 + 8 + 4 + 8 + 1 + 2
 
 // MaxNameLen is the longest name one request can carry: a component
 // must fit the 4 KB request buffer alongside the fixed header. Clients
@@ -310,14 +277,6 @@ var (
 	// Re-driving the same rename once the groups are reachable resolves
 	// it — every phase is idempotent.
 	ErrRenameInDoubt = errors.New("rfsrv: rename in doubt")
-	// ErrShardLayoutConflict rejects combining the sharded namespace
-	// (EnableShardedNamespace, DESIGN.md §11) with the per-file layout
-	// policy (SetLayoutPolicy, §10) in either order: sharding routes
-	// the create request's Len field as a residue, which is the field
-	// layout hints travel in. Composing the two is a ROADMAP follow-up;
-	// until it lands the conflict is a typed refusal, not silent
-	// misbehavior. errors.Is(err, ErrShardLayoutConflict) matches.
-	ErrShardLayoutConflict = errors.New("rfsrv: sharded namespace and per-file layout policy are mutually exclusive")
 	// ErrStaleMembership reports that a reply carried a membership-view
 	// epoch newer than the client's and the client has no shared
 	// MemberView to adopt the new placement from: its routing is wrong
@@ -391,26 +350,36 @@ func EncodeReqInto(dst []byte, r *Req) []byte {
 	binary.LittleEndian.PutUint64(out[10:], uint64(r.Ino))
 	binary.LittleEndian.PutUint64(out[18:], uint64(r.Off))
 	binary.LittleEndian.PutUint32(out[26:], r.Len)
-	binary.LittleEndian.PutUint16(out[30:], uint16(len(r.Name)))
+	binary.LittleEndian.PutUint64(out[30:], r.Epoch)
+	out[38] = byte(r.Layout)
+	binary.LittleEndian.PutUint16(out[39:], uint16(len(r.Name)))
 	copy(out[reqFixed:], r.Name)
 	return dst
 }
 
 // DecodeReq parses a request, returning it and the number of bytes
-// consumed (the remainder of the buffer is inline write data).
+// consumed (the remainder of the buffer is inline write data). Field
+// values are the server's to judge (an out-of-range layout class is a
+// StInval reply, not a dropped message); only names longer than
+// MaxNameLen, which no client can send, are rejected here.
 func DecodeReq(b []byte) (*Req, int, error) {
 	if len(b) < reqFixed {
 		return nil, 0, fmt.Errorf("rfsrv: short request (%d bytes)", len(b))
 	}
 	r := &Req{
-		Op:  Op(b[0]),
-		Seq: binary.LittleEndian.Uint64(b[1:]),
-		EP:  b[9],
-		Ino: kernel.InodeID(binary.LittleEndian.Uint64(b[10:])),
-		Off: int64(binary.LittleEndian.Uint64(b[18:])),
-		Len: binary.LittleEndian.Uint32(b[26:]),
+		Op:     Op(b[0]),
+		Seq:    binary.LittleEndian.Uint64(b[1:]),
+		EP:     b[9],
+		Ino:    kernel.InodeID(binary.LittleEndian.Uint64(b[10:])),
+		Off:    int64(binary.LittleEndian.Uint64(b[18:])),
+		Len:    binary.LittleEndian.Uint32(b[26:]),
+		Epoch:  binary.LittleEndian.Uint64(b[30:]),
+		Layout: LayoutClass(b[38]),
 	}
-	nameLen := int(binary.LittleEndian.Uint16(b[30:]))
+	nameLen := int(binary.LittleEndian.Uint16(b[39:]))
+	if nameLen > MaxNameLen {
+		return nil, 0, fmt.Errorf("rfsrv: name of %d bytes exceeds MaxNameLen", nameLen)
+	}
 	if len(b) < reqFixed+nameLen {
 		return nil, 0, fmt.Errorf("rfsrv: truncated name")
 	}
@@ -516,38 +485,29 @@ func ErrOf(st int32) error {
 }
 
 // Resp is a protocol response. Every reply that resolves an inode also
-// carries that inode's size epoch (see Server), so any round trip —
-// data or control path — lets a cluster client revalidate its cached
-// size against the coherence protocol's authority.
+// carries that inode's size epoch and layout class (see Server), so any
+// round trip — data or control path — lets a cluster client revalidate
+// its cached size and placement against the coherence protocol's
+// authority. A decoded Attr.Version is always zero: the wire does not
+// carry it.
 type Resp struct {
 	Seq    uint64
 	Status int32
 	Attr   kernel.Attr
-	// Epoch is the size epoch of the inode Attr describes. On the wire
-	// it rides in the slot that used to carry Attr.Version (which no
-	// client ever consumed), so introducing the coherence protocol
-	// changed no message length and no fault-free timing; a decoded
-	// Attr.Version is therefore always zero.
+	// Epoch is the size epoch of the inode Attr describes.
 	Epoch uint64
 	// MemberEpoch is the server's membership-view epoch (DESIGN.md
-	// §13). On the wire it rides in the top MemberEpochBits of the
-	// 64-bit epoch slot — size epochs stay far below 2^48 over any
-	// realistic run — so, like Epoch and Layout before it, carrying it
-	// changed no message length, and a static-membership cluster
-	// (member epoch 0) stays bit-identical on the wire.
+	// §13); zero on a static-membership cluster.
 	MemberEpoch uint64
 	// Layout is the stripe-layout class of the inode Attr describes
-	// (DESIGN.md §10). On the wire it rides in the high nibble of the
-	// kind byte — file kinds never exceeded the low nibble — so, like
-	// Epoch, introducing it changed no message length and no fault-free
-	// timing; pre-layout replies decode as LayoutStandard.
+	// (DESIGN.md §10).
 	Layout  LayoutClass
 	N       uint32 // data bytes in the companion data transfer
 	Entries []kernel.DirEntry
 }
 
 // respFixed is the fixed-size prefix of an encoded response.
-const respFixed = 8 + 4 + 8 + 1 + 8 + 8 + 4 + 2
+const respFixed = 8 + 4 + 8 + 1 + 8 + 8 + 8 + 1 + 4 + 2
 
 // HdrBufSize is the reply-header buffer size clients must post: fixed
 // part plus room for directory listings.
@@ -573,22 +533,19 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 		//analyze:allow allocfree error path, never taken per-request
 		return nil, fmt.Errorf("rfsrv: directory listing (%d bytes) exceeds reply buffer", size)
 	}
-	if r.Attr.Kind < 0 || r.Attr.Kind > 0xf || !ValidLayout(r.Layout) {
-		// Kind and Layout share one wire byte (low/high nibble).
-		//analyze:allow allocfree error path, never taken per-request
-		return nil, fmt.Errorf("rfsrv: kind %d / layout %d overflow the kind byte", r.Attr.Kind, r.Layout)
-	}
 	pos := len(dst)
 	dst = append(dst, make([]byte, size)...)
 	out := dst[pos:]
 	binary.LittleEndian.PutUint64(out[0:], r.Seq)
 	binary.LittleEndian.PutUint32(out[8:], uint32(r.Status))
 	binary.LittleEndian.PutUint64(out[12:], uint64(r.Attr.Ino))
-	out[20] = byte(r.Attr.Kind) | byte(r.Layout)<<4
+	out[20] = byte(r.Attr.Kind)
 	binary.LittleEndian.PutUint64(out[21:], uint64(r.Attr.Size))
-	binary.LittleEndian.PutUint64(out[29:], r.Epoch&SizeEpochMask|r.MemberEpoch<<MemberEpochShift)
-	binary.LittleEndian.PutUint32(out[37:], r.N)
-	binary.LittleEndian.PutUint16(out[41:], uint16(len(r.Entries)))
+	binary.LittleEndian.PutUint64(out[29:], r.Epoch)
+	binary.LittleEndian.PutUint64(out[37:], r.MemberEpoch)
+	out[45] = byte(r.Layout)
+	binary.LittleEndian.PutUint32(out[46:], r.N)
+	binary.LittleEndian.PutUint16(out[50:], uint16(len(r.Entries)))
 	at := respFixed
 	for _, e := range r.Entries {
 		binary.LittleEndian.PutUint64(out[at:], uint64(e.Ino))
@@ -600,29 +557,40 @@ func EncodeRespInto(dst []byte, r *Resp) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResp parses a response.
+// DecodeResp parses a response. It rejects what no server encodes: a
+// file kind or layout class out of range, and a listing larger than
+// HdrBufSize.
 func DecodeResp(b []byte) (*Resp, error) {
 	if len(b) < respFixed {
 		return nil, fmt.Errorf("rfsrv: short response (%d bytes)", len(b))
+	}
+	if !validKind(b[20]) {
+		return nil, fmt.Errorf("rfsrv: bad file kind %d", b[20])
+	}
+	if !ValidLayout(LayoutClass(b[45])) {
+		return nil, fmt.Errorf("rfsrv: bad layout class %d", b[45])
 	}
 	r := &Resp{
 		Seq:    binary.LittleEndian.Uint64(b[0:]),
 		Status: int32(binary.LittleEndian.Uint32(b[8:])),
 		Attr: kernel.Attr{
 			Ino:  kernel.InodeID(binary.LittleEndian.Uint64(b[12:])),
-			Kind: kernel.FileKind(b[20] & 0xf),
+			Kind: kernel.FileKind(b[20]),
 			Size: int64(binary.LittleEndian.Uint64(b[21:])),
 		},
-		Epoch:       binary.LittleEndian.Uint64(b[29:]) & SizeEpochMask,
-		MemberEpoch: binary.LittleEndian.Uint64(b[29:]) >> MemberEpochShift,
-		Layout:      LayoutClass(b[20] >> 4),
-		N:           binary.LittleEndian.Uint32(b[37:]),
+		Epoch:       binary.LittleEndian.Uint64(b[29:]),
+		MemberEpoch: binary.LittleEndian.Uint64(b[37:]),
+		Layout:      LayoutClass(b[45]),
+		N:           binary.LittleEndian.Uint32(b[46:]),
 	}
-	count := int(binary.LittleEndian.Uint16(b[41:]))
+	count := int(binary.LittleEndian.Uint16(b[50:]))
 	pos := respFixed
 	for i := 0; i < count; i++ {
 		if len(b) < pos+11 {
 			return nil, fmt.Errorf("rfsrv: truncated dirent")
+		}
+		if !validKind(b[pos+8]) {
+			return nil, fmt.Errorf("rfsrv: bad dirent kind %d", b[pos+8])
 		}
 		e := kernel.DirEntry{
 			Ino:  kernel.InodeID(binary.LittleEndian.Uint64(b[pos:])),
@@ -632,11 +600,19 @@ func DecodeResp(b []byte) (*Resp, error) {
 		if len(b) < pos+11+nameLen {
 			return nil, fmt.Errorf("rfsrv: truncated dirent name")
 		}
+		if pos+11+nameLen > HdrBufSize {
+			return nil, fmt.Errorf("rfsrv: directory listing exceeds reply buffer")
+		}
 		e.Name = string(b[pos+11 : pos+11+nameLen])
 		r.Entries = append(r.Entries, e)
 		pos += 11 + nameLen
 	}
 	return r, nil
+}
+
+// validKind reports whether a wire kind byte names a kernel.FileKind.
+func validKind(k byte) bool {
+	return kernel.FileKind(k) == kernel.RegularFile || kernel.FileKind(k) == kernel.Directory
 }
 
 // Client is the transport-specific RPC engine used by ORFA and ORFS.

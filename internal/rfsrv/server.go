@@ -76,7 +76,7 @@ type Server struct {
 	renames  map[renameKey]renameMark
 
 	// member is the membership-view epoch this server last committed
-	// (OpMember, DESIGN.md §13), stamped into every reply's epoch slot
+	// (OpMember, DESIGN.md §13), stamped into every reply's MemberEpoch
 	// so clients routing under an older view find out on their next
 	// round trip. Zero for the fixed-membership clusters every
 	// pre-elastic test and figure builds.
@@ -181,23 +181,19 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 	case OpReaddir:
 		resp.Entries, err = s.fs.Readdir(p, ino)
 	case OpCreate:
-		// Sharded servers interpret Len as the client's routing-residue
-		// hint instead (shard mode forbids layout hints, which is what
-		// frees the field — see Cluster.EnableShardedNamespace).
-		if s.shard {
-			resp.Attr, err = s.shardMakeNode(p, ino, req, kernel.RegularFile)
-			break
-		}
-		// Len carries the creator's layout-class hint (zero — the wire
-		// default — is LayoutStandard, so pre-layout clients are
-		// unchanged). Out-of-range hints are protocol violations.
-		if !ValidLayout(LayoutClass(req.Len)) {
+		// Layout carries the creator's layout-class hint (zero is
+		// LayoutStandard). Out-of-range hints are protocol violations.
+		if !ValidLayout(req.Layout) {
 			err = ErrInval
 			break
 		}
-		resp.Attr, err = s.fs.Create(p, ino, req.Name)
-		if err == nil && LayoutClass(req.Len) != LayoutStandard {
-			s.layouts[resp.Attr.Ino] = LayoutClass(req.Len)
+		if s.shard {
+			resp.Attr, err = s.shardMakeNode(p, ino, req, kernel.RegularFile)
+		} else {
+			resp.Attr, err = s.fs.Create(p, ino, req.Name)
+		}
+		if err == nil {
+			s.setLayout(resp.Attr.Ino, req.Layout)
 		}
 	case OpMkdir:
 		if s.shard {
@@ -245,19 +241,17 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 	case OpSetSize:
 		err = s.handleSetSize(p, ino, req, resp)
 	case OpSetLayout:
-		lc := LayoutClass(req.Len)
-		if !ValidLayout(lc) {
+		if !ValidLayout(req.Layout) {
 			err = ErrInval
 			break
 		}
+		// A sharded server may not hold the inode yet: the class flip
+		// fans to every server, like an exact size set.
+		s.materializeOnDemand(p, ino, kernel.RegularFile)
 		if resp.Attr, err = s.fs.Getattr(p, ino); err != nil {
 			break
 		}
-		if lc == LayoutStandard {
-			delete(s.layouts, ino)
-		} else {
-			s.layouts[ino] = lc
-		}
+		s.setLayout(ino, req.Layout)
 		// A layout change relocates data, so every cached (size, layout)
 		// view of the file elsewhere is now wrong: bump the size epoch
 		// and let the validated cache invalidate them, exactly like a
@@ -283,15 +277,11 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 		// Resync-only epoch alignment (see the opcode): set the inode's
 		// size epoch so the replayed mutation that follows lands at the
 		// epoch the rest of the cluster recorded.
-		if req.Off < 0 {
-			err = ErrInval
-			break
-		}
 		s.materializeOnDemand(p, ino, kernel.RegularFile)
-		if req.Off == 0 {
+		if req.Epoch == 0 {
 			delete(s.epochs, ino)
 		} else {
-			s.epochs[ino] = uint64(req.Off)
+			s.epochs[ino] = req.Epoch
 		}
 		resp.Attr, err = s.fs.Getattr(p, ino)
 	default:
@@ -313,26 +303,33 @@ func (s *Server) handleMeta(p *sim.Proc, req *Req) *Resp {
 	return resp
 }
 
+// setLayout records an inode's layout class; LayoutStandard is the
+// absence of an entry (see the layouts field).
+func (s *Server) setLayout(ino kernel.InodeID, lc LayoutClass) {
+	if lc == LayoutStandard {
+		delete(s.layouts, ino)
+	} else {
+		s.layouts[ino] = lc
+	}
+}
+
 // handleMember commits a new membership view on this server
 // (DESIGN.md §13): it adopts the epoch for reply stamping and, in
-// sharded mode, swaps the §11 ownership geometry and re-bases the
-// backing store's minting partition past the mint floor so inodes
-// minted under the new geometry route by (ino−2) mod N and never
-// collide with old ones.
+// sharded mode, swaps the §11 ownership geometry (its own replication
+// factor kept) and re-bases the backing store's minting partition past
+// the mint floor so inodes minted under the new geometry route by
+// (ino−2) mod N and never collide with old ones. A leaving server
+// (position -1) only adopts the epoch.
 func (s *Server) handleMember(p *sim.Proc, req *Req) error {
-	pos, n, r, sharded := UnpackMember(req.Len)
-	if req.Off < 0 || n <= 0 || r <= 0 || r > n || pos >= n {
+	pos, n := int(req.Off), int(req.Len)
+	if req.Off < -1 || n <= 0 || pos >= n || s.shard && s.shardR > n {
 		return ErrInval
 	}
-	s.member = uint64(req.Off)
-	if !sharded {
+	s.member = req.Epoch
+	if !s.shard || pos < 0 {
 		return nil
 	}
-	if s.sfs == nil {
-		return ErrInval // sharded commit needs a shard-capable backing store
-	}
-	s.shard = true
-	s.shardIdx, s.shardN, s.shardR = pos, n, r
+	s.shardIdx, s.shardN = pos, n
 	if pf, ok := s.fs.(interface {
 		SetInodePartitionFloor(index, count int, floor kernel.InodeID)
 	}); ok {
@@ -351,12 +348,14 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 	if req.Off < 0 {
 		return ErrInval // a negative size would corrupt the block map
 	}
+	if req.Len > SetSizeExact {
+		return ErrInval // not a mode
+	}
 	// A sharded server may first hear of a foreign-owned inode through
 	// a size publish or global truncate: materialize a stub (epoch 0,
 	// matching what every fresh replica would hold) and proceed.
 	s.materializeOnDemand(p, ino, kernel.RegularFile)
-	exact, observed := UnpackSetSize(req.Len)
-	if uint32(s.epochs[ino]&SetSizeEpochMask) != observed {
+	if s.epochs[ino] != req.Epoch {
 		// Stale writer: report, and let the getattr below fill the
 		// authoritative attributes for revalidation.
 		if a, aerr := s.fs.Getattr(p, ino); aerr == nil {
@@ -365,7 +364,7 @@ func (s *Server) handleSetSize(p *sim.Proc, ino kernel.InodeID, req *Req, resp *
 		return ErrStaleEpoch
 	}
 	var err error
-	if exact {
+	if req.Len == SetSizeExact {
 		if err = s.fs.Truncate(p, ino, req.Off); err == nil {
 			s.epochs[ino]++
 			resp.Attr, err = s.fs.Getattr(p, ino)

@@ -119,11 +119,12 @@ func (s *Server) materializeOnDemand(p *sim.Proc, ino kernel.InodeID, kind kerne
 }
 
 // shardMakeNode is the sharded create/mkdir: authority check, lazy
-// parent materialization, then a mint whose residue the client chose
-// (req.Len carries residue+1; 0 means "minter's default"). Files
-// inherit the parent's residue so their owner group serves both; the
-// cluster spreads directories by hashing, which is what makes
-// metadata throughput scale with N.
+// parent materialization, then a mint whose residue places the child.
+// A file takes its parent's residue, so its owner group serves both;
+// a directory takes the hash of (parent, name), the parent as the
+// request names it, which spreads the namespace over the N servers and
+// is what makes metadata throughput scale with N. The client reads the
+// residue back from the minted inode number.
 func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, req *Req, kind kernel.FileKind) (kernel.Attr, error) {
 	if !s.ownsDir(dir) {
 		return kernel.Attr{}, ErrNotOwner
@@ -133,9 +134,9 @@ func (s *Server) shardMakeNode(p *sim.Proc, dir kernel.InodeID, req *Req, kind k
 			return kernel.Attr{}, err
 		}
 	}
-	residue := int(req.Len) - 1
-	if residue >= s.shardN {
-		return kernel.Attr{}, ErrInval
+	residue := s.shardResidue(dir)
+	if kind == kernel.Directory {
+		residue = int(pathHash(req.Ino, req.Name) % uint64(s.shardN))
 	}
 	return s.sfs.MakeNode(p, dir, req.Name, kind, residue)
 }
@@ -163,10 +164,10 @@ func (s *Server) shardUnlink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.
 }
 
 // handleLink is OpLink: enter child (Off) of the given kind (Len)
-// into dir under req.Name. Requires shard mode and dentry authority —
-// it is the replication verb for fresh dentries and the commit half
-// of the two-phase rename, both of which only ever target the owner
-// group of the directory.
+// into dir under req.Name and record its layout class (Layout).
+// Requires shard mode and dentry authority — it is the replication
+// verb for fresh dentries and the commit half of the two-phase rename,
+// both of which only ever target the owner group of the directory.
 func (s *Server) handleLink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.Attr, error) {
 	if !s.shard {
 		return kernel.Attr{}, ErrInval
@@ -179,7 +180,14 @@ func (s *Server) handleLink(p *sim.Proc, dir kernel.InodeID, req *Req) (kernel.A
 			return kernel.Attr{}, err
 		}
 	}
-	return s.sfs.Link(p, dir, req.Name, kernel.InodeID(req.Off), kernel.FileKind(req.Len))
+	if !ValidLayout(req.Layout) {
+		return kernel.Attr{}, ErrInval
+	}
+	a, err := s.sfs.Link(p, dir, req.Name, kernel.InodeID(req.Off), kernel.FileKind(req.Len))
+	if err == nil {
+		s.setLayout(a.Ino, req.Layout)
+	}
+	return a, err
 }
 
 // handleMaterialize is OpMaterialize: idempotent stub creation, no

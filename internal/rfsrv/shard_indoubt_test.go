@@ -8,42 +8,30 @@ package rfsrv_test
 // journaled finalize the lagging members missed. Plus the §11 walk
 // transient (one inode visible under both names while the source
 // cleanup lags, with the marked entry refusing mutation), and the
-// sharding/layout-policy composition pin (ErrShardLayoutConflict in
-// both orders, through the knapi alias too).
+// composition of sharding with the layout policy and batched size
+// publishes.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
-	knapi "repro"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/rfsrv"
 	"repro/internal/rig"
 	"repro/internal/sim"
 )
 
-// observerRep builds a second, fresh replicated client over the same
+// shardObserver builds a second, fresh sharded client over the same
 // rig on its own endpoints (30+i, clear of clusterRep's 10+i): a
 // client with no exclusion history, standing in for a recovering
-// application node.
-func (r *clusterRig) observerRep(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
-	t.Helper()
-	return r.view(t, p, observerOpts(replicas))
-}
-
-// shardObserver is observerRep with the sharded namespace enabled: the
-// re-drive vantage point for an in-doubt rename the observer did not
-// issue.
+// application node, and the re-drive vantage point for an in-doubt
+// rename the observer did not issue.
 func (r *clusterRig) shardObserver(t *testing.T, p *sim.Proc, replicas int) *rfsrv.Cluster {
 	t.Helper()
-	o := observerOpts(replicas)
-	o.Sharded = true
-	return r.view(t, p, o)
-}
-
-func observerOpts(replicas int) rig.Opts {
-	return rig.Opts{Window: 4, Stripe: testStripe, Replicas: replicas, Timeout: faultTimeout, EP: 30}
+	return r.view(t, p, rig.Opts{Window: 4, Stripe: testStripe, Replicas: replicas, Timeout: faultTimeout, EP: 30, Sharded: true})
 }
 
 // TestShardRenameInDoubtAbortFaultStateA drives the FIRST in-doubt
@@ -300,45 +288,119 @@ func TestShardRenameInDoubtReaddirWalk(t *testing.T) {
 	})
 }
 
-// TestShardLayoutPolicyConflict pins the composition rule: the sharded
-// namespace and the per-file layout policy (§10) are mutually
-// exclusive in EITHER order — and so is the batched size publish,
-// which rides the sharded plumbing. The refusals must match
-// ErrShardLayoutConflict through errors.Is, including via the public
-// knapi alias.
-func TestShardLayoutPolicyConflict(t *testing.T) {
-	r := newShardRig(t, 2, 1)
+// TestShardLayoutPolicyCompose pins the composition rule: the sharded
+// namespace (§11), the adaptive layout policy (§10) and batched size
+// publishes are accepted in either order and work together on N=4,
+// R=2. A small file lives whole on its owner group with zero
+// OpSetSize; a write past PromoteThreshold promotes it and a second
+// client converges to the standard layout; and once the owner primary
+// dies, the replica (which learned the class from the OpLink that
+// replicated the dentry) answers getattr with LayoutWhole and serves
+// the failed-over read.
+func TestShardLayoutPolicyCompose(t *testing.T) {
+	const n, replicas = 4, 2
+	r := newShardRig(t, n, replicas)
 	r.run(t, func(p *sim.Proc) {
-		// Order 1: sharding first, then the policy.
-		cl := r.shardClient(t, p, 1)
-		err := cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true})
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("SetLayoutPolicy on a sharded cluster = %v, want ErrShardLayoutConflict", err)
+		setters := []func(cl *rfsrv.Cluster) error{
+			(*rfsrv.Cluster).EnableShardedNamespace,
+			func(cl *rfsrv.Cluster) error { return cl.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}) },
+			func(cl *rfsrv.Cluster) error { return cl.SetSizePublishBatch(4) },
 		}
-		if !errors.Is(err, knapi.ErrFSShardLayoutConflict) {
-			t.Fatalf("conflict error does not match the knapi alias: %v", err)
+		build := func(ep int, order []int) *rfsrv.Cluster {
+			cl := r.view(t, p, rig.Opts{Window: 4, Stripe: testStripe, Replicas: replicas, Timeout: faultTimeout, EP: ep})
+			for _, k := range order {
+				if err := setters[k](cl); err != nil {
+					t.Fatalf("setter %d (order %v): %v", k, order, err)
+				}
+			}
+			if _, on := cl.LayoutPolicy(); !on || !cl.ShardedNamespace() {
+				t.Fatalf("order %v: policy on=%v, sharded=%v", order, on, cl.ShardedNamespace())
+			}
+			return cl
 		}
-		if _, on := cl.LayoutPolicy(); on {
-			t.Fatal("refused policy engaged anyway")
+		a := build(10, []int{0, 1, 2})
+		b := build(30, []int{2, 1, 0})
+
+		dir := mkdirRes(t, p, a, n, 2, "d")
+		owner := 2
+		inGroup := func(s int) bool { return (s-owner+n)%n < replicas }
+
+		// A small file: whole on its owner group, no size reconciliation.
+		const small = 16 * 1024
+		smallData := pattern(small)
+		resp, err := a.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "small"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino := resp.Attr.Ino
+		if lc := a.LayoutOf(ino); lc != rfsrv.LayoutWhole {
+			t.Fatalf("adaptive create under sharding classified %v, want LayoutWhole", lc)
+		}
+		writeAt(t, p, r, a, ino, 0, smallData)
+		if err := a.FlushSizes(p); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.SetSizes.N; got != 0 {
+			t.Errorf("whole-on-home write issued %d OpSetSize, want 0", got)
+		}
+		for s := range r.Nodes {
+			for pg := 0; pg < small/mem.PageSize; pg++ {
+				if have := r.FS[s].FrameAt(ino, int64(pg)) != nil; have != inGroup(s) {
+					t.Fatalf("server %d page %d present=%v, want %v (owner group %d..%d)", s, pg, have, inGroup(s), owner, owner+replicas-1)
+				}
+			}
 		}
 
-		// Order 2: policy first, then sharding (and then the batched
-		// publish, which needs a policy-free cluster for the same
-		// reason).
-		obs := r.observerRep(t, p, 1)
-		if err := obs.SetLayoutPolicy(rfsrv.LayoutPolicy{Adaptive: true}); err != nil {
-			t.Fatalf("SetLayoutPolicy on a plain cluster: %v", err)
+		// A growing file: b learns it whole, a's write past the threshold
+		// promotes it, and b converges to the standard layout.
+		const head, tail = 200 * 1024, 100 * 1024
+		bigData := pattern(head + tail)
+		resp, err = a.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "big"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		err = obs.EnableShardedNamespace()
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("EnableShardedNamespace under a policy = %v, want ErrShardLayoutConflict", err)
+		big := resp.Attr.Ino
+		writeAt(t, p, r, a, big, 0, bigData[:head])
+		if got, n := readBack(t, p, r, b, big, 0, head); n != head || !bytes.Equal(got, bigData[:head]) {
+			t.Fatalf("second client read %d bytes of the whole file, match=%v", n, bytes.Equal(got, bigData[:head]))
 		}
-		if obs.ShardedNamespace() {
-			t.Fatal("refused sharding engaged anyway")
+		if lc := b.LayoutOf(big); lc != rfsrv.LayoutWhole {
+			t.Fatalf("second client sees %v before promotion, want LayoutWhole", lc)
 		}
-		err = obs.SetSizePublishBatch(4)
-		if !errors.Is(err, rfsrv.ErrShardLayoutConflict) {
-			t.Fatalf("SetSizePublishBatch under a policy = %v, want ErrShardLayoutConflict", err)
+		writeAt(t, p, r, a, big, head, bigData[head:])
+		if a.Promotions.N != 1 || a.LayoutOf(big) != rfsrv.LayoutStandard {
+			t.Fatalf("promotions=%d layout=%v, want 1 promotion to LayoutStandard", a.Promotions.N, a.LayoutOf(big))
 		}
+		if err := a.FlushSizes(p); err != nil {
+			t.Fatal(err)
+		}
+		gresp, err := b.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: big})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gresp.Layout != rfsrv.LayoutStandard || b.LayoutOf(big) != rfsrv.LayoutStandard {
+			t.Fatalf("second client: getattr layout %v, cached %v, want LayoutStandard", gresp.Layout, b.LayoutOf(big))
+		}
+		if got, n := readBack(t, p, r, b, big, 0, head+tail+mem.PageSize); n != head+tail || !bytes.Equal(got, bigData) {
+			t.Fatalf("second client read %d bytes after promotion, match=%v", n, bytes.Equal(got, bigData))
+		}
+
+		// Kill the owner primary: the replica answers for the whole file.
+		r.Nodes[owner].NIC.Kill()
+		gresp, err = a.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
+		if err != nil {
+			t.Fatalf("getattr after the owner primary died: %v", err)
+		}
+		if gresp.Layout != rfsrv.LayoutWhole || gresp.Attr.Size != small {
+			t.Fatalf("replica getattr: layout %v size %d, want LayoutWhole size %d", gresp.Layout, gresp.Attr.Size, small)
+		}
+		if got, n := readBack(t, p, r, b, ino, 0, small); n != small || !bytes.Equal(got, smallData) {
+			t.Fatalf("failed-over read %d bytes, match=%v", n, bytes.Equal(got, smallData))
+		}
+		if b.Failovers.N == 0 {
+			t.Error("second client's read did not fail over")
+		}
+		assertWindowsIdle(t, a)
+		assertWindowsIdle(t, b)
 	})
 }

@@ -133,7 +133,8 @@ type (
 
 	// Per-file layout classes (DESIGN.md §10): how a cluster places a
 	// file's bytes. SetLayoutPolicy on the cluster turns the machinery
-	// on; it is inert on a one-server cluster.
+	// on; it is inert on a one-server cluster and composes with the
+	// sharded namespace and batched size publishes in any order.
 	FSLayoutClass  = rfsrv.LayoutClass
 	FSLayoutPolicy = rfsrv.LayoutPolicy
 
@@ -336,12 +337,6 @@ var ErrFSStaleEpoch = rfsrv.ErrStaleEpoch
 // *FSRenameInDoubtError recovers the rename's coordinates.
 var ErrFSRenameInDoubt = rfsrv.ErrRenameInDoubt
 
-// ErrFSShardLayoutConflict rejects combining the sharded namespace
-// with the per-file layout policy in either order (DESIGN.md §10/§11):
-// the composition is a ROADMAP follow-up, so until it lands the
-// conflict is a typed refusal instead of silent misbehavior.
-var ErrFSShardLayoutConflict = rfsrv.ErrShardLayoutConflict
-
 // ErrFSStaleMembership fails an operation on a cluster whose
 // membership view fell behind: a reply carried a higher member epoch
 // than the view the cluster holds, and the cluster is not attached to
@@ -368,10 +363,11 @@ const (
 const DefaultFSSizePublishBatch = rfsrv.DefaultSizePublishBatch
 
 // Layout classes a cluster file can carry (DESIGN.md §10): standard
-// round-robin striping (the default, bit-identical to the pre-layout
-// protocol), whole-on-home for small files (all bytes on the inode's
-// hash home: no fan-out, no size-reconciliation RPCs), and wide
-// striping for very large files.
+// round-robin striping (the default), whole-on-home for small files
+// (all bytes on the server that answers the inode's getattr — its hash
+// home, or its owner group under sharding: no fan-out, no
+// size-reconciliation RPCs), and wide striping for very large files.
+// A create asks for a class in its request's Layout field.
 const (
 	FSLayoutStandard = rfsrv.LayoutStandard
 	FSLayoutWhole    = rfsrv.LayoutWhole
