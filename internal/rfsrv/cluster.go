@@ -477,7 +477,9 @@ func (cl *Cluster) entry(size int64, epoch uint64) sizeEntry {
 // retry loop ping-pong between the divergent members' epochs forever;
 // instead the fans detect the lagging member with epochBehind and
 // exclude it. Replies that resolve no inode are ignored.
-func (cl *Cluster) observeResp(resp *Resp) {
+// from is the answering session slot (-1 when unknown): it gates the
+// Layout byte (layoutKnownBy), never the size epoch.
+func (cl *Cluster) observeResp(from int, resp *Resp) {
 	if resp == nil {
 		return
 	}
@@ -499,12 +501,26 @@ func (cl *Cluster) observeResp(resp *Resp) {
 	if !ok || resp.Epoch > e.epoch {
 		cl.sizes[ino] = cl.entry(0, resp.Epoch)
 	}
-	if cl.policyOn {
-		// Every reply teaches the layout cache alongside the size cache;
-		// with the policy off the Layout byte is ignored and the map
-		// stays empty (no per-reply map cost on the default path).
+	if cl.policyOn && cl.layoutKnownBy(from, ino) {
+		// A knowing reply teaches the layout cache alongside the size
+		// cache; with the policy off the Layout byte is ignored and the
+		// map stays empty (no per-reply map cost on the default path).
 		cl.layouts[ino] = resp.Layout
 	}
+}
+
+// layoutKnownBy reports whether session slot from records the inode's
+// layout class: every server unsharded, only the owner group under
+// sharding (the stubs other servers materialize hold no class and
+// report LayoutStandard; DESIGN.md §10).
+func (cl *Cluster) layoutKnownBy(from int, ino kernel.InodeID) bool {
+	owner, n := cl.shardOwner(ino), len(cl.members)
+	for j := 0; j < cl.replicas && cl.sharded; j++ {
+		if cl.members[(owner+j)%n] == from {
+			return true
+		}
+	}
+	return !cl.sharded
 }
 
 // epochBehind reports whether a reply proves the replying server
@@ -828,7 +844,8 @@ func (cl *Cluster) degenerate(p *sim.Proc, lay LayoutClass, ino kernel.InodeID, 
 	if resp == nil && err != nil {
 		resp = &Resp{Status: StatusOf(err)}
 	}
-	cl.observeResp(resp)
+	// The replica that answered is still the preferred one.
+	cl.observeResp(cl.readIdx(lay, ino, off), resp)
 	return resp, err
 }
 
@@ -1075,7 +1092,7 @@ func (cl *Cluster) Read(p *sim.Proc, ino kernel.InodeID, off int64, dst core.Vec
 	}
 	cl.failoverReads(p, lay, ino, parts)
 	for _, pt := range parts {
-		cl.observeResp(pt.resp)
+		cl.observeResp(pt.target, pt.resp)
 	}
 	if err := firstError(parts); err != nil {
 		return &Resp{Status: StatusOf(err), Attr: mergeAttr(parts)}, err
@@ -1220,7 +1237,7 @@ func (cl *Cluster) Write(p *sim.Proc, ino kernel.InodeID, off int64, src core.Ve
 	// which is exactly what forces setSizeTo to re-run for an overwrite
 	// below the stale cached size.
 	for _, pt := range parts {
-		cl.observeResp(pt.resp)
+		cl.observeResp(pt.target, pt.resp)
 	}
 	if cl.pubBatch > 0 && lay != LayoutWhole && len(cl.members) > 1 {
 		// Batched publish mode: enqueue the new end instead of fanning
@@ -1431,7 +1448,7 @@ func (cl *Cluster) setSizeFan(p *sim.Proc, ino kernel.InodeID, end int64, epoch 
 			cl.markDown(targets[k])
 			continue
 		}
-		cl.observeResp(resp)
+		cl.observeResp(targets[k], resp)
 		if errors.Is(err, ErrStaleEpoch) {
 			if cl.epochBehind(resp) {
 				// A member lagging the cached epoch missed an exact set
@@ -1662,7 +1679,7 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	if cp.want < 0 {
 		cp.cl.failoverReads(p, cp.lay, cp.ino, cp.parts)
 		for _, pt := range cp.parts {
-			cp.cl.observeResp(pt.resp)
+			cp.cl.observeResp(pt.target, pt.resp)
 		}
 		if err := firstError(cp.parts); err != nil {
 			cp.resp, cp.err = &Resp{Status: StatusOf(err), Attr: mergeAttr(cp.parts)}, err
@@ -1672,7 +1689,7 @@ func (cp *clusterPending) Wait(p *sim.Proc) (*Resp, error) {
 	} else {
 		cp.resp, cp.err = cp.cl.finishWriteParts(cp.ino, cp.runs, cp.parts, cp.want)
 		for _, pt := range cp.parts {
-			cp.cl.observeResp(pt.resp)
+			cp.cl.observeResp(pt.target, pt.resp)
 		}
 	}
 	cp.cl.notePendingDone(cp)
@@ -2024,7 +2041,7 @@ func (cl *Cluster) homedMeta(p *sim.Proc, req *Req, home func() int) (*Resp, err
 		}
 		// The home's reply is the control-path revalidation point: its
 		// epoch either confirms the cached size or invalidates it.
-		cl.observeResp(resp)
+		cl.observeResp(idx, resp)
 		return resp, err
 	}
 }
@@ -2038,7 +2055,7 @@ func (cl *Cluster) homedMeta(p *sim.Proc, req *Req, home func() int) (*Resp, err
 func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 	if len(cl.members) == 1 {
 		resp, err := cl.syncMeta(p, cl.members[0], req)
-		cl.observeResp(resp)
+		cl.observeResp(cl.members[0], resp)
 		cl.noteMutation(req, resp, err)
 		return resp, err
 	}
@@ -2082,7 +2099,7 @@ func (cl *Cluster) fanout(p *sim.Proc, req *Req) (*Resp, error) {
 			cl.markDown(targets[k])
 			continue // excluded, not divergent
 		}
-		cl.observeResp(r)
+		cl.observeResp(targets[k], r)
 		if errors.Is(err, ErrStaleEpoch) {
 			if cl.epochBehind(r) {
 				// The refuser's epoch is BEHIND the cache: it missed an
@@ -2297,7 +2314,7 @@ func (cl *Cluster) MetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 		resps, err := cl.sessions[s].MetaBatch(p, sh.reqs)
 		for i, r := range resps {
 			pos := sh.idx[i]
-			cl.observeResp(r)
+			cl.observeResp(s, r)
 			if out[pos] == nil {
 				out[pos] = r
 			} else if r != nil && r.Status != StStale && out[pos].Status != StStale &&

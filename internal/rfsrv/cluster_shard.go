@@ -259,7 +259,7 @@ func (cl *Cluster) flushFan(p *sim.Proc, reqs []*Req, npub int) (stale bool, err
 			resps, werr := fl.wait(p, cl.flushResps[:0])
 			behind := false
 			for _, r := range resps {
-				cl.observeResp(r)
+				cl.observeResp(targets[k], r)
 			}
 			for _, r := range resps {
 				if r != nil && r.Status == StStale && cl.epochBehind(r) {
@@ -349,7 +349,7 @@ func (cl *Cluster) groupRead(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 			cl.Failovers.Add(0)
 			continue
 		}
-		cl.observeResp(resp)
+		cl.observeResp(idx, resp)
 		if cl.epochBehind(resp) {
 			// The member answered under an epoch behind the cache: it
 			// missed an exact set and its sizes are pre-truncate stale
@@ -404,7 +404,7 @@ func (cl *Cluster) groupFan(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 			cl.markDown(targets[k])
 			continue
 		}
-		cl.observeResp(r)
+		cl.observeResp(targets[k], r)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -475,7 +475,7 @@ func (cl *Cluster) groupFanFrom(p *sim.Proc, owner, except int, req *Req) error 
 			cl.markDown(targets[k])
 			continue
 		}
-		cl.observeResp(r)
+		cl.observeResp(targets[k], r)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -500,7 +500,7 @@ func (cl *Cluster) groupMint(p *sim.Proc, owner int, req *Req) (*Resp, error) {
 			cl.Failovers.Add(0)
 			continue
 		}
-		cl.observeResp(resp)
+		cl.observeResp(idx, resp)
 		if err != nil {
 			return resp, err
 		}
@@ -991,7 +991,7 @@ func (cl *Cluster) shardMetaBatch(p *sim.Proc, reqs []*Req) ([]*Resp, error) {
 			sh.fl = nil
 			for ri, r := range resps {
 				pos := sh.idx[sh.done+ri]
-				cl.observeResp(r)
+				cl.observeResp(s, r)
 				if out[pos] == nil {
 					out[pos] = r
 				} else if r != nil && (r.Status != out[pos].Status || r.Attr.Ino != out[pos].Attr.Ino) {

@@ -31,6 +31,32 @@ func TestWireHeaderSizes(t *testing.T) {
 	}
 }
 
+// TestMaxNameLenFitsOneBuffer pins the longest legal name to what a
+// 4 KB request buffer holds beside the 41-byte header: 4055 bytes. The
+// names of 4056 to 4064 bytes a 32-byte header once left room for are
+// refused at the client boundary and dropped by the decoder.
+func TestMaxNameLenFitsOneBuffer(t *testing.T) {
+	if rfsrv.MaxNameLen != 4055 {
+		t.Fatalf("MaxNameLen = %d, want 4055", rfsrv.MaxNameLen)
+	}
+	ok := rfsrv.EncodeReq(&rfsrv.Req{Op: rfsrv.OpCreate, Name: string(bytes.Repeat([]byte{'n'}, rfsrv.MaxNameLen))})
+	if len(ok) != 4096 {
+		t.Fatalf("maximal request encodes to %d bytes, want 4096", len(ok))
+	}
+	if _, _, err := rfsrv.DecodeReq(ok); err != nil {
+		t.Fatalf("maximal name refused by the decoder: %v", err)
+	}
+	for n := rfsrv.MaxNameLen + 1; n <= 4064; n++ {
+		req := &rfsrv.Req{Op: rfsrv.OpCreate, Name: string(bytes.Repeat([]byte{'n'}, n))}
+		if err := rfsrv.ValidateReq(req); err != rfsrv.ErrNameTooLong {
+			t.Fatalf("%d-byte name: ValidateReq = %v, want ErrNameTooLong", n, err)
+		}
+		if _, _, err := rfsrv.DecodeReq(rfsrv.EncodeReq(req)); err == nil {
+			t.Fatalf("%d-byte name accepted by the decoder", n)
+		}
+	}
+}
+
 // TestWireEpochsFullWidth drives epochs past every width the fields
 // once had through a live server: a size epoch of 2^31 refuses an
 // OpSetSize that observed epoch 0, a size epoch of 2^48 comes back

@@ -385,6 +385,90 @@ func TestShardLayoutPolicyCompose(t *testing.T) {
 			t.Fatalf("second client read %d bytes after promotion, match=%v", n, bytes.Equal(got, bigData))
 		}
 
+		// A wide-hinted file spans every server, most of them outside its
+		// owner group: their stub replies must not teach either client
+		// the standard layout over bytes laid out at WideStripeSize.
+		wide := 3*int(rfsrv.WideStripeSize) + 64*1024
+		wideData := pattern(wide)
+		resp, err = a.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir, Name: "wide", Layout: rfsrv.LayoutWide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wino := resp.Attr.Ino
+		// Chunked I/O keeps each round trip inside the 2 ms fault
+		// timeout: a whole MiB-scale transfer would outlast it.
+		const chunk = 128 * 1024
+		writeChunks := func(c *rfsrv.Cluster, off int64, data []byte) {
+			for k := 0; k < len(data); k += chunk {
+				writeAt(t, p, r, c, wino, off+int64(k), data[k:min(k+chunk, len(data))])
+			}
+		}
+		readChunks := func(c *rfsrv.Cluster) []byte {
+			var out []byte
+			for k := 0; k < wide; k += chunk {
+				got, n := readBack(t, p, r, c, wino, int64(k), chunk)
+				if n != min(chunk, wide-k) {
+					t.Fatalf("wide read at %d returned %d bytes", k, n)
+				}
+				out = append(out, got...)
+			}
+			return out
+		}
+		writeChunks(a, 0, wideData)
+		if err := a.FlushSizes(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readChunks(b), wideData) {
+			t.Fatal("second client read the wide file wrong")
+		}
+		patch := bytes.Repeat([]byte{0xa5}, 2*int(rfsrv.WideStripeSize))
+		writeChunks(b, int64(rfsrv.WideStripeSize)/2, patch)
+		copy(wideData[rfsrv.WideStripeSize/2:], patch)
+		for _, c := range []*rfsrv.Cluster{a, b} {
+			if !bytes.Equal(readChunks(c), wideData) {
+				t.Fatal("wide file read back wrong after the second client's patch")
+			}
+			if lc := c.LayoutOf(wino); lc != rfsrv.LayoutWide {
+				t.Fatalf("wide file cached as %v after striped I/O, want LayoutWide", lc)
+			}
+		}
+		for k := 0; k < n; k++ {
+			if r.FS[k].FrameAt(wino, int64(k)*rfsrv.WideStripeSize/mem.PageSize) == nil {
+				t.Fatalf("wide stripe %d missing on server %d", k, k)
+			}
+		}
+
+		// A truncate fans to every server, and the last to answer is
+		// outside the owner group {0, 1}: the file stays whole.
+		dir0 := mkdirRes(t, p, a, n, 0, "e")
+		in0 := func(s int) bool { return s < replicas }
+		resp, err = a.Meta(p, &rfsrv.Req{Op: rfsrv.OpCreate, Ino: dir0, Name: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tino := resp.Attr.Ino
+		tData := pattern(small)
+		writeAt(t, p, r, a, tino, 0, tData)
+		const cut = 4 * 1024
+		if _, err := a.Meta(p, &rfsrv.Req{Op: rfsrv.OpTruncate, Ino: tino, Off: cut}); err != nil {
+			t.Fatal(err)
+		}
+		if lc := a.LayoutOf(tino); lc != rfsrv.LayoutWhole {
+			t.Fatalf("truncated whole-on-home file cached as %v, want LayoutWhole", lc)
+		}
+		tData = append(tData[:cut], bytes.Repeat([]byte{0x5a}, 2*cut)...)
+		writeAt(t, p, r, a, tino, cut, tData[cut:])
+		if got, n := readBack(t, p, r, b, tino, 0, small); n != len(tData) || !bytes.Equal(got, tData) {
+			t.Fatalf("second client read %d bytes after truncate and rewrite, match=%v", n, bytes.Equal(got, tData))
+		}
+		for s := range r.Nodes {
+			for pg := 0; pg < len(tData)/mem.PageSize; pg++ {
+				if have := r.FS[s].FrameAt(tino, int64(pg)) != nil; have != in0(s) {
+					t.Fatalf("rewritten file: server %d page %d present=%v, want %v", s, pg, have, in0(s))
+				}
+			}
+		}
+
 		// Kill the owner primary: the replica answers for the whole file.
 		r.Nodes[owner].NIC.Kill()
 		gresp, err = a.Meta(p, &rfsrv.Req{Op: rfsrv.OpGetattr, Ino: ino})
